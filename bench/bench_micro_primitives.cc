@@ -1,10 +1,12 @@
 // Micro-benchmarks (google-benchmark) for the data-path primitives that
 // dominate every experiment: bitset boolean algebra, popcount counting,
-// Bernoulli subsampling, projections, the greedy / exact solvers, and
-// D_SC sampling. These guard against performance regressions in the
-// library itself.
+// the SetView kernels over both span kinds, Bernoulli subsampling,
+// projections, the greedy / exact solvers, and D_SC sampling. These guard
+// against performance regressions in the library itself.
 
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "core/sampling.h"
 #include "instance/generators.h"
@@ -15,6 +17,7 @@
 #include "offline/lower_bounds.h"
 #include "util/bitset.h"
 #include "util/random.h"
+#include "util/set_view.h"
 
 namespace streamsc {
 namespace {
@@ -43,6 +46,62 @@ void BM_BitsetUnionInPlace(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_BitsetUnionInPlace)->Arg(16384)->Arg(262144);
+
+// A SetView op over one span kind, the path every solver runs. Args are
+// (n, sparse): a DenseSpan row views a half-full set and counts 64-bit
+// words, a SparseSpan row views a 2%-full set (stored sparse under the
+// 1/32 threshold) and counts member ids, so items/s reads as the
+// per-word and per-id kernel throughput.
+template <typename Op>
+void RunSetViewOp(benchmark::State& state, Op op) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const bool sparse = state.range(1) != 0;
+  Rng rng(10);
+  const DynamicBitset bits = rng.BernoulliSubset(n, sparse ? 0.02 : 0.5);
+  const std::vector<ElementId> ids = bits.ToIndices();
+  const SetView view = sparse
+                           ? SetView(SparseSpan(ids.data(), ids.size(), n))
+                           : SetView(DenseSpan(bits.WordData(), n));
+  DynamicBitset other = rng.BernoulliSubset(n, 0.5);
+  for (auto _ : state) {
+    op(view, other);
+    benchmark::ClobberMemory();
+  }
+  const std::size_t units = sparse ? ids.size() : bits.WordCount();
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(units));
+  state.SetLabel(sparse ? "SparseSpan" : "DenseSpan");
+}
+
+void BM_SetViewCountAnd(benchmark::State& state) {
+  RunSetViewOp(state, [](SetView view, DynamicBitset& other) {
+    benchmark::DoNotOptimize(view.CountAnd(other));
+  });
+}
+BENCHMARK(BM_SetViewCountAnd)->ArgsProduct({{16384, 262144}, {0, 1}});
+
+void BM_SetViewCountAndNot(benchmark::State& state) {
+  RunSetViewOp(state, [](SetView view, DynamicBitset& other) {
+    benchmark::DoNotOptimize(view.CountAndNot(other));
+  });
+}
+BENCHMARK(BM_SetViewCountAndNot)->ArgsProduct({{16384, 262144}, {0, 1}});
+
+void BM_SetViewAndNotInto(benchmark::State& state) {
+  RunSetViewOp(state, [](SetView view, DynamicBitset& other) {
+    view.AndNotInto(other);
+    benchmark::DoNotOptimize(other.WordData());
+  });
+}
+BENCHMARK(BM_SetViewAndNotInto)->ArgsProduct({{16384, 262144}, {0, 1}});
+
+void BM_SetViewOrInto(benchmark::State& state) {
+  RunSetViewOp(state, [](SetView view, DynamicBitset& other) {
+    view.OrInto(other);
+    benchmark::DoNotOptimize(other.WordData());
+  });
+}
+BENCHMARK(BM_SetViewOrInto)->ArgsProduct({{16384, 262144}, {0, 1}});
 
 void BM_BernoulliSubset(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

@@ -241,7 +241,7 @@ int Info(int argc, char** argv) {
     max_size = std::max(max_size, size);
     incidences += size;
     item.set.OrInto(covered);
-    if (item.set.is_dense_rep()) {
+    if (item.set.dense_span() != nullptr) {
       ++dense_sets;
       dense_bytes += item.set.ByteSize();
     } else {

@@ -57,12 +57,32 @@ SubUniverse::SubUniverse(const DynamicBitset& sampled,
   }
 }
 
-template <typename WordAt>
-DynamicBitset SubUniverse::ProjectGather(
-    WordAt&& word_at, DynamicBitset::Allocator alloc) const {
+template <typename Emit>
+void SubUniverse::ForEachSampled(SparseSpan ids, Emit&& emit) const {
+  // O(k) rank computations — independent of both n and the sample size.
+  // Source ids are sorted, and full -> sample rank is monotone, so the
+  // emitted sample ids are sorted too.
+  ids.ForEach([&](ElementId e) {
+    const std::size_t w = e / DynamicBitset::kBitsPerWord;
+    const std::size_t b = e % DynamicBitset::kBitsPerWord;
+    const Word mask = sampled_words_[w];
+    if ((mask >> b) & 1) {
+      emit(word_rank_[w] + static_cast<std::uint32_t>(
+                               std::popcount(mask & ((Word{1} << b) - 1))));
+    }
+  });
+}
+
+DynamicBitset SubUniverse::Project(SetView full_set,
+                                   DynamicBitset::Allocator alloc) const {
   DynamicBitset out(sample_to_full_.size(), alloc);
+  if (const SparseSpan* ids = full_set.sparse_span()) {
+    ForEachSampled(*ids, [&](std::uint32_t s) { out.Set(s); });
+    return out;
+  }
+  const DenseSpan words = *full_set.dense_span();
   for (const GatherBlock& block : gather_) {
-    const Word bits = ExtractBits(word_at(block.src_word), block.mask);
+    const Word bits = ExtractBits(words.GetWord(block.src_word), block.mask);
     if (bits == 0) continue;
     const std::size_t word = block.dst_bit / DynamicBitset::kBitsPerWord;
     const std::size_t offset = block.dst_bit % DynamicBitset::kBitsPerWord;
@@ -76,74 +96,14 @@ DynamicBitset SubUniverse::ProjectGather(
   return out;
 }
 
-template <typename Emit>
-void SubUniverse::ForEachSampled(const ElementId* ids, std::size_t count,
-                                 Emit&& emit) const {
-  // O(k) rank computations — independent of both n and the sample size.
-  // Source ids are sorted, and full -> sample rank is monotone, so the
-  // emitted sample ids are sorted too.
-  for (std::size_t i = 0; i < count; ++i) {
-    const ElementId e = ids[i];
-    const std::size_t w = e / DynamicBitset::kBitsPerWord;
-    const std::size_t b = e % DynamicBitset::kBitsPerWord;
-    const Word mask = sampled_words_[w];
-    if ((mask >> b) & 1) {
-      emit(word_rank_[w] + static_cast<std::uint32_t>(
-                               std::popcount(mask & ((Word{1} << b) - 1))));
-    }
-  }
-}
-
-DynamicBitset SubUniverse::Project(const DynamicBitset& full_set,
-                                   DynamicBitset::Allocator alloc) const {
-  return ProjectGather([&](std::size_t w) { return full_set.GetWord(w); },
-                       alloc);
-}
-
-DynamicBitset SubUniverse::Project(SetView full_set,
-                                   DynamicBitset::Allocator alloc) const {
-  if (const DynamicBitset* dense = full_set.dense()) {
-    return Project(*dense, alloc);
-  }
-  if (const DenseSpan* span = full_set.dense_span()) {
-    return ProjectGather([&](std::size_t w) { return span->GetWord(w); },
-                         alloc);
-  }
-  const ElementId* ids = nullptr;
-  std::size_t count = 0;
-  if (const SparseSet* sparse = full_set.sparse()) {
-    ids = sparse->elements().data();
-    count = sparse->elements().size();
-  } else {
-    const SparseSpan* span = full_set.sparse_span();
-    ids = span->elements();
-    count = static_cast<std::size_t>(span->CountSet());
-  }
-  DynamicBitset out(sample_to_full_.size(), alloc);
-  ForEachSampled(ids, count, [&](std::uint32_t s) { out.Set(s); });
-  return out;
-}
-
 ProjectedSet SubUniverse::ProjectAdaptive(SetView full_set,
                                           ArenaAllocator<ElementId> alloc)
     const {
-  if (full_set.is_dense_rep()) {
-    return Project(full_set, DynamicBitset::Allocator(alloc));
-  }
-  const ElementId* ids = nullptr;
-  std::size_t count = 0;
-  if (const SparseSet* sparse = full_set.sparse()) {
-    ids = sparse->elements().data();
-    count = sparse->elements().size();
-  } else {
-    const SparseSpan* span = full_set.sparse_span();
-    ids = span->elements();
-    count = static_cast<std::size_t>(span->CountSet());
-  }
+  const SparseSpan* ids = full_set.sparse_span();
+  if (ids == nullptr) return Project(full_set, DynamicBitset::Allocator(alloc));
   ArenaVector<ElementId> projected(alloc);
-  projected.reserve(count);
-  ForEachSampled(ids, count,
-                 [&](std::uint32_t s) { projected.push_back(s); });
+  projected.reserve(static_cast<std::size_t>(ids->CountSet()));
+  ForEachSampled(*ids, [&](std::uint32_t s) { projected.push_back(s); });
   // ForEachSampled emits strictly increasing in-range sample ids, so the
   // per-item hot path can skip the release-mode re-validation.
   return SparseSet::FromSortedIndicesUnchecked(sample_to_full_.size(),

@@ -64,26 +64,20 @@ class SubUniverse {
   /// Full-universe size this sample came from.
   std::size_t full_size() const { return full_size_; }
 
-  /// Projects a full-universe dense set onto the sample (dense indexing)
-  /// via the word-level gather plan. The result is allocated from
-  /// \p alloc.
-  DynamicBitset Project(const DynamicBitset& full_set,
-                        DynamicBitset::Allocator alloc = {}) const;
-
-  /// Projects a full-universe set of any representation (owning or span):
-  /// dense sets go through the word gather, sparse sets through per-member
-  /// re-indexing. Always emits a dense result; see ProjectAdaptive for the
+  /// Projects a full-universe set of either representation onto the
+  /// sample: dense sets go through the word-level gather plan, sparse sets
+  /// through per-member re-indexing. Always emits a dense result,
+  /// allocated from \p alloc; see ProjectAdaptive for the
   /// representation-preserving variant.
   DynamicBitset Project(SetView full_set,
                         DynamicBitset::Allocator alloc = {}) const;
 
   /// Projects onto the sample, keeping the source's representation: dense
-  /// and dense-span sources emit a DynamicBitset via the word gather,
-  /// sparse and sparse-span sources emit a SparseSet directly in O(k) —
-  /// skipping the dense intermediate entirely, so a stored sparse
-  /// projection never touches O(sample_size) memory. The result is
-  /// allocated from \p alloc (the engine's sharded TransformPass passes
-  /// the worker-scratch binding here).
+  /// sources emit a DynamicBitset via the word gather, sparse sources
+  /// emit a SparseSet directly in O(k) — skipping the dense intermediate
+  /// entirely, so a stored sparse projection never touches O(sample_size)
+  /// memory. The result is allocated from \p alloc (the engine's sharded
+  /// TransformPass passes the worker-scratch binding here).
   ProjectedSet ProjectAdaptive(SetView full_set,
                                ArenaAllocator<ElementId> alloc = {}) const;
 
@@ -95,19 +89,11 @@ class SubUniverse {
   ElementId ToFull(std::size_t i) const { return sample_to_full_[i]; }
 
  private:
-  // Word-gather core shared by the dense and dense-span paths; \p word_at
-  // returns the source set's w-th backing word. Defined in sampling.cc
-  // (only instantiated there).
-  template <typename WordAt>
-  DynamicBitset ProjectGather(WordAt&& word_at,
-                              DynamicBitset::Allocator alloc) const;
-
-  // Sparse re-indexing core shared by the sparse and sparse-span paths:
-  // calls \p emit(sample_id) for each sampled member of the sorted id run,
-  // in increasing sample order. Defined in sampling.cc.
+  // Sparse re-indexing core of Project and ProjectAdaptive: calls
+  // \p emit(sample_id) for each sampled member of \p ids, in increasing
+  // sample order. Defined in sampling.cc.
   template <typename Emit>
-  void ForEachSampled(const ElementId* ids, std::size_t count,
-                      Emit&& emit) const;
+  void ForEachSampled(SparseSpan ids, Emit&& emit) const;
 
   // One gather step: the sampled bits of full-universe word `src_word`
   // land, compacted, at output bit position `dst_bit`.

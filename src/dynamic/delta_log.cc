@@ -45,8 +45,7 @@ DeltaLog::DeltaLog(const std::string& path) {
     record_count_ = 0;
     touched_base_.clear();
     appended_.clear();
-    dense_.clear();
-    sparse_.clear();
+    payloads_.clear();
   }
 }
 
@@ -130,7 +129,7 @@ Status DeltaLog::Load(const std::string& path) {
         const std::byte* payload = file_.data() + offset + sizeof(record);
         Slot slot;
         slot.from_delta = true;
-        slot.rep = static_cast<sscb1::Rep>(record.rep);
+        slot.payload = static_cast<std::uint32_t>(payloads_.size());
         slot.version = i + 1;
         if (record.rep == sscb1::kDense) {
           const Word* words = reinterpret_cast<const Word*>(payload);
@@ -148,8 +147,7 @@ Status DeltaLog::Load(const std::string& path) {
             return Malformed(where +
                              "payload popcount mismatches the record count");
           }
-          dense_.push_back(span);
-          slot.payload = static_cast<std::uint32_t>(dense_.size() - 1);
+          payloads_.push_back(span);
         } else {
           const ElementId* ids = reinterpret_cast<const ElementId*>(payload);
           for (std::uint32_t k = 0; k < record.count; ++k) {
@@ -169,8 +167,7 @@ Status DeltaLog::Load(const std::string& path) {
               return Malformed(where + "nonzero sparse payload padding");
             }
           }
-          sparse_.push_back(SparseSpan(ids, record.count, universe_size_));
-          slot.payload = static_cast<std::uint32_t>(sparse_.size() - 1);
+          payloads_.push_back(SparseSpan(ids, record.count, universe_size_));
         }
         if (record.type == sscd1::kAddSet) {
           appended_.push_back(slot);
@@ -199,9 +196,7 @@ SetView DeltaLog::slot_view(std::uint64_t slot) const {
   STREAMSC_CHECK(status_.ok() && slot < num_slots() && slot_from_delta(slot),
                  "DeltaLog::slot_view: invalid log, slot, or base-backed "
                  "slot");
-  const Slot& s = SlotRef(slot);
-  if (s.rep == sscb1::kDense) return SetView(dense_[s.payload]);
-  return SetView(sparse_[s.payload]);
+  return payloads_[SlotRef(slot).payload];
 }
 
 // ---------------------------------------------------------------------------
@@ -316,12 +311,9 @@ Status DeltaLogWriter::WritePayloadRecord(sscd1::RecordType type,
       const std::uint64_t zero = 0;
       written = WriteBytes(&zero, static_cast<std::size_t>(padded - raw));
     }
-  } else if (const DynamicBitset* dense = set.dense()) {
-    written = written && WriteBytes(dense->WordData(),
-                                    dense->WordCount() * sizeof(Word));
-  } else if (const DenseSpan* span = set.dense_span()) {
-    written = written &&
-              WriteBytes(span->WordData(), span->WordCount() * sizeof(Word));
+  } else if (const DenseSpan* words = set.dense_span()) {
+    written = written && WriteBytes(words->WordData(),
+                                    words->WordCount() * sizeof(Word));
   } else {
     // Sparse-represented set dense enough to store dense: materialize once.
     const DynamicBitset materialized = set.ToDense();

@@ -11,7 +11,6 @@
 #include "dynamic/delta_format.h"
 #include "instance/set_system.h"
 #include "storage/mmap_file.h"
-#include "util/set_span.h"
 #include "util/set_view.h"
 #include "util/status.h"
 
@@ -104,8 +103,7 @@ class DeltaLog {
   struct Slot {
     bool live = true;
     bool from_delta = false;
-    sscb1::Rep rep = sscb1::kDense;
-    std::uint32_t payload = 0;  // into dense_ / sparse_ when from_delta
+    std::uint32_t payload = 0;  // into payloads_ when from_delta
     std::uint64_t version = 0;
   };
 
@@ -130,8 +128,7 @@ class DeltaLog {
   // to a shared default (live, version 0, base payload).
   std::unordered_map<std::uint64_t, Slot> touched_base_;
   std::vector<Slot> appended_;  // slots base_num_sets_ .. num_slots()-1
-  std::vector<DenseSpan> dense_;
-  std::vector<SparseSpan> sparse_;
+  std::vector<SetView> payloads_;  // every delta payload, over the mapping
 };
 
 /// Incremental sscd1 writer. Not copyable. Construct in create mode (new

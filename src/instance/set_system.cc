@@ -51,17 +51,20 @@ SetId SetSystem::AddSet(DynamicBitset set) {
 SetId SetSystem::AddSet(SparseSet set) {
   STREAMSC_CHECK(set.size() == universe_size_,
                  "SetSystem::AddSet: set universe size mismatches the system");
-  if (WantsSparse(set.CountSet())) return PushSparse(std::move(set));
-  return PushDense(set.ToBitset(ArenaAllocator<DynamicBitset::Word>(arena_)));
+  if (WantsSparse(set.span().CountSet())) return PushSparse(std::move(set));
+  return PushDense(
+      SetView(set).ToDense(ArenaAllocator<DynamicBitset::Word>(arena_)));
 }
 
 SetId SetSystem::AddSetFromIndices(std::span<const ElementId> indices) {
   // Range validation happens inside FromIndices (one post-sort check).
   SparseSet sparse = SparseSet::FromIndices(universe_size_, indices,
                                             ArenaAllocator<ElementId>(arena_));
-  if (WantsSparse(sparse.CountSet())) return PushSparse(std::move(sparse));
+  if (WantsSparse(sparse.span().CountSet())) {
+    return PushSparse(std::move(sparse));
+  }
   return PushDense(
-      sparse.ToBitset(ArenaAllocator<DynamicBitset::Word>(arena_)));
+      SetView(sparse).ToDense(ArenaAllocator<DynamicBitset::Word>(arena_)));
 }
 
 SetId SetSystem::AddSetFromView(SetView view) {
@@ -78,8 +81,8 @@ SetId SetSystem::AddSetFromView(SetView view) {
 SetView SetSystem::set(SetId id) const {
   STREAMSC_DCHECK(id < slots_.size());
   const Slot& slot = slots_[id];
-  if (slot.rep == Rep::kDense) return SetView(dense_[slot.index]);
-  return SetView(sparse_[slot.index]);
+  if (slot.rep == Rep::kDense) return dense_[slot.index];
+  return sparse_[slot.index];
 }
 
 bool SetSystem::IsSparse(SetId id) const {
@@ -94,7 +97,7 @@ SetSystem::Memory SetSystem::MemoryUsage() const {
     ++memory.dense_sets;
   }
   for (const auto& s : sparse_) {
-    memory.sparse_bytes += s.ByteSize();
+    memory.sparse_bytes += s.span().ByteSize();
     ++memory.sparse_sets;
   }
   return memory;

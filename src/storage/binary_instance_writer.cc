@@ -101,12 +101,9 @@ Status BinaryInstanceWriter::AddSet(SetView set) {
       const std::uint64_t zero = 0;
       written = WriteBytes(&zero, static_cast<std::size_t>(padded - raw));
     }
-  } else if (const DynamicBitset* dense = set.dense()) {
-    written = WriteBytes(dense->WordData(),
-                         dense->WordCount() * sizeof(DynamicBitset::Word));
-  } else if (const DenseSpan* span = set.dense_span()) {
-    written = WriteBytes(span->WordData(),
-                         span->WordCount() * sizeof(DynamicBitset::Word));
+  } else if (const DenseSpan* words = set.dense_span()) {
+    written = WriteBytes(words->WordData(),
+                         words->WordCount() * sizeof(DynamicBitset::Word));
   } else {
     // Sparse-represented set dense enough to store dense: materialize once.
     const DynamicBitset dense = set.ToDense();

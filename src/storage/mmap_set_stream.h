@@ -9,23 +9,25 @@
 #include "storage/binary_format.h"
 #include "storage/mmap_file.h"
 #include "stream/set_stream.h"
-#include "util/set_span.h"
+#include "util/set_view.h"
 #include "util/status.h"
 
 /// \file mmap_set_stream.h
 /// MmapSetStream: a multi-pass SetStream over an sscb1 file, serving each
-/// set as a zero-copy SetView (DenseSpan / SparseSpan) directly over the
-/// read-only mapping. Compared to FileSetStream this changes the cost
-/// model completely:
+/// set as a zero-copy SetView whose DenseSpan or SparseSpan points
+/// directly into the read-only mapping. The views are built once, at
+/// validation, into a single table; set(id) and Next() copy one out by
+/// value. Compared to FileSetStream this changes the cost model
+/// completely:
 ///
 ///   * a pass costs zero parsing — BeginPass() is a cursor reset, and a
 ///     set's bytes are only touched when the algorithm reads them;
 ///   * ItemsRemainValid() is true — views stay valid for the stream's
 ///     whole lifetime, so DrainPass / ParallelPassEngine can buffer and
 ///     shard a disk-resident pass across workers;
-///   * resident memory is O(m) span bookkeeping plus whatever pages the
-///     OS keeps warm — never O(mn), preserving the streaming model's
-///     honesty at multi-GB scale.
+///   * resident memory is one SetView per set, built once at
+///     validation, plus whatever pages the OS keeps warm — never O(mn),
+///     preserving the streaming model's honesty at multi-GB scale.
 ///
 /// The whole file structure (header, index, every payload's bounds, sparse
 /// sortedness, dense tail bits) is validated once at construction; after
@@ -53,7 +55,7 @@ class MmapSetStream : public SetStream {
   const Status& status() const { return status_; }
 
   std::size_t universe_size() const override { return universe_size_; }
-  std::size_t num_sets() const override { return slots_.size(); }
+  std::size_t num_sets() const override { return sets_.size(); }
   void BeginPass() override;
   bool Next(StreamItem* item) override;
   std::uint64_t passes() const override { return passes_; }
@@ -67,26 +69,20 @@ class MmapSetStream : public SetStream {
   SetView set(SetId id) const;
 
   /// Number of sets stored sparsely (for tooling/info output).
-  std::size_t sparse_sets() const { return sparse_.size(); }
+  std::size_t sparse_sets() const { return sparse_sets_; }
 
   /// Mapped file size in bytes.
   std::uint64_t file_bytes() const { return file_.size(); }
 
  private:
-  // Validates everything and builds the span tables.
+  // Validates everything and builds the view table.
   Status Load(const std::string& path);
-
-  struct Slot {
-    sscb1::Rep rep;
-    std::uint32_t index;  // into dense_ or sparse_
-  };
 
   Status status_;
   MmapFile file_;
   std::size_t universe_size_ = 0;
-  std::vector<Slot> slots_;
-  std::vector<DenseSpan> dense_;
-  std::vector<SparseSpan> sparse_;
+  std::vector<SetView> sets_;  // one span view per set, over the mapping
+  std::size_t sparse_sets_ = 0;
   std::size_t cursor_ = 0;
   std::uint64_t passes_ = 0;
 };

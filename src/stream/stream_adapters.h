@@ -4,75 +4,17 @@
 #include <cstdint>
 #include <fstream>
 #include <string>
-#include <vector>
 
 #include "stream/set_stream.h"
 #include "util/status.h"
 
 /// \file stream_adapters.h
-/// Stream composition and external-storage adapters:
-///
-/// * ConcatSetStream — streams A's items then B's (the two-party
-///   Alice-then-Bob composition behind the Theorem 1 simulation).
-/// * InterleaveSetStream — alternates items from two streams (a different
-///   two-party arrival pattern; with VectorSetStream::kRandomOnce halves
-///   it approximates the D_SC^rnd random partition arrival).
-/// * FileSetStream — re-parses an ssc1 file every pass, holding one set in
-///   memory at a time: a genuinely o(mn)-memory stream source, which keeps
-///   the streaming algorithms honest about what they retain.
-///
-/// All adapters renumber items to a single global id space [0, m_total):
-/// the first stream's ids come first, then the second's shifted by
-/// first.num_sets().
+/// External-storage stream adapter: FileSetStream re-parses an ssc1 file
+/// every pass, holding one set in memory at a time — a genuinely
+/// o(mn)-memory stream source, which keeps the streaming algorithms honest
+/// about what they retain.
 
 namespace streamsc {
-
-/// Alice-then-Bob concatenation of two streams over the same universe.
-/// The inner streams' pass counters advance with every outer pass.
-class ConcatSetStream : public SetStream {
- public:
-  /// Both streams must agree on universe_size(); neither is owned.
-  ConcatSetStream(SetStream& first, SetStream& second);
-
-  std::size_t universe_size() const override;
-  std::size_t num_sets() const override;
-  void BeginPass() override;
-  bool Next(StreamItem* item) override;
-  std::uint64_t passes() const override { return passes_; }
-  bool ItemsRemainValid() const override {
-    return first_.ItemsRemainValid() && second_.ItemsRemainValid();
-  }
-
- private:
-  SetStream& first_;
-  SetStream& second_;
-  bool in_second_ = false;
-  std::uint64_t passes_ = 0;
-};
-
-/// Alternating merge of two streams over the same universe: a, b, a, b, …
-/// (continuing with the longer stream once the shorter is exhausted).
-class InterleaveSetStream : public SetStream {
- public:
-  InterleaveSetStream(SetStream& first, SetStream& second);
-
-  std::size_t universe_size() const override;
-  std::size_t num_sets() const override;
-  void BeginPass() override;
-  bool Next(StreamItem* item) override;
-  std::uint64_t passes() const override { return passes_; }
-  bool ItemsRemainValid() const override {
-    return first_.ItemsRemainValid() && second_.ItemsRemainValid();
-  }
-
- private:
-  SetStream& first_;
-  SetStream& second_;
-  bool first_done_ = false;
-  bool second_done_ = false;
-  bool next_is_second_ = false;
-  std::uint64_t passes_ = 0;
-};
 
 /// Streams an ssc1 file (see instance/serialization.h), re-reading it on
 /// every pass. Holds exactly one set in memory at a time.

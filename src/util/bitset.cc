@@ -27,34 +27,9 @@ void DynamicBitset::Fill() {
   TrimTail();
 }
 
-Count DynamicBitset::CountSet() const {
-  Count total = 0;
-  for (Word w : words_) total += static_cast<Count>(std::popcount(w));
-  return total;
-}
-
-bool DynamicBitset::None() const {
-  for (Word w : words_) {
-    if (w != 0) return false;
-  }
-  return true;
-}
-
-DynamicBitset& DynamicBitset::operator|=(const DynamicBitset& other) {
-  STREAMSC_DCHECK(size_ == other.size_);
-  for (std::size_t i = 0; i < words_.size(); ++i) words_[i] |= other.words_[i];
-  return *this;
-}
-
 DynamicBitset& DynamicBitset::operator&=(const DynamicBitset& other) {
   STREAMSC_DCHECK(size_ == other.size_);
   for (std::size_t i = 0; i < words_.size(); ++i) words_[i] &= other.words_[i];
-  return *this;
-}
-
-DynamicBitset& DynamicBitset::AndNot(const DynamicBitset& other) {
-  STREAMSC_DCHECK(size_ == other.size_);
-  for (std::size_t i = 0; i < words_.size(); ++i) words_[i] &= ~other.words_[i];
   return *this;
 }
 
@@ -67,40 +42,6 @@ DynamicBitset DynamicBitset::Difference(const DynamicBitset& other) const {
   DynamicBitset out = *this;
   out.AndNot(other);
   return out;
-}
-
-Count DynamicBitset::CountAnd(const DynamicBitset& other) const {
-  STREAMSC_DCHECK(size_ == other.size_);
-  Count total = 0;
-  for (std::size_t i = 0; i < words_.size(); ++i) {
-    total += static_cast<Count>(std::popcount(words_[i] & other.words_[i]));
-  }
-  return total;
-}
-
-Count DynamicBitset::CountAndNot(const DynamicBitset& other) const {
-  STREAMSC_DCHECK(size_ == other.size_);
-  Count total = 0;
-  for (std::size_t i = 0; i < words_.size(); ++i) {
-    total += static_cast<Count>(std::popcount(words_[i] & ~other.words_[i]));
-  }
-  return total;
-}
-
-bool DynamicBitset::Intersects(const DynamicBitset& other) const {
-  STREAMSC_DCHECK(size_ == other.size_);
-  for (std::size_t i = 0; i < words_.size(); ++i) {
-    if ((words_[i] & other.words_[i]) != 0) return true;
-  }
-  return false;
-}
-
-bool DynamicBitset::IsSubsetOf(const DynamicBitset& other) const {
-  STREAMSC_DCHECK(size_ == other.size_);
-  for (std::size_t i = 0; i < words_.size(); ++i) {
-    if ((words_[i] & ~other.words_[i]) != 0) return false;
-  }
-  return true;
 }
 
 ElementId DynamicBitset::FindFirst() const {
@@ -128,13 +69,6 @@ ElementId DynamicBitset::FindNext(std::size_t i) const {
   }
 }
 
-std::vector<ElementId> DynamicBitset::ToIndices() const {
-  std::vector<ElementId> out;
-  out.reserve(static_cast<std::size_t>(CountSet()));
-  ForEach([&out](ElementId e) { out.push_back(e); });
-  return out;
-}
-
 Count DynamicBitset::HammingDistance(const DynamicBitset& other) const {
   STREAMSC_DCHECK(size_ == other.size_);
   Count total = 0;
@@ -142,18 +76,6 @@ Count DynamicBitset::HammingDistance(const DynamicBitset& other) const {
     total += static_cast<Count>(std::popcount(words_[i] ^ other.words_[i]));
   }
   return total;
-}
-
-std::string DynamicBitset::ToString() const {
-  std::string out = "{";
-  bool first = true;
-  ForEach([&](ElementId e) {
-    if (!first) out += ", ";
-    out += std::to_string(e);
-    first = false;
-  });
-  out += "}";
-  return out;
 }
 
 std::uint64_t DynamicBitset::Hash() const {

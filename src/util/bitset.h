@@ -9,12 +9,14 @@
 #include "util/arena.h"
 #include "util/check.h"
 #include "util/common.h"
+#include "util/set_span.h"
 
 /// \file bitset.h
 /// DynamicBitset: a fixed-universe bit vector used to represent subsets of
 /// the universe [n]. This is the core data representation for sets in the
-/// set cover / maximum coverage machinery, so it favours tight loops
-/// (popcount-based counting, word-wise boolean algebra) over generality.
+/// set cover / maximum coverage machinery. DynamicBitset owns and mutates
+/// the words; the read kernels live once, on DenseSpan (util/set_span.h),
+/// and the read methods here are one-line forwards to span().
 
 namespace streamsc {
 
@@ -30,9 +32,9 @@ namespace streamsc {
 /// the clone constructor).
 class DynamicBitset {
  public:
-  using Word = std::uint64_t;
+  using Word = DenseSpan::Word;
   using Allocator = ArenaAllocator<Word>;
-  static constexpr std::size_t kBitsPerWord = 64;
+  static constexpr std::size_t kBitsPerWord = DenseSpan::kBitsPerWord;
 
   /// Creates an empty (all-zero) set over a universe of \p size elements.
   explicit DynamicBitset(std::size_t size = 0, Allocator alloc = {})
@@ -64,6 +66,10 @@ class DynamicBitset {
   /// Universe size (number of addressable bits).
   std::size_t size() const { return size_; }
 
+  /// The words as a borrowed DenseSpan (valid while the bitset is alive;
+  /// mutations through the bitset show through the span).
+  DenseSpan span() const { return DenseSpan(words_.data(), size_); }
+
   /// True iff the universe is empty (size() == 0).
   bool empty_universe() const { return size_ == 0; }
 
@@ -80,10 +86,7 @@ class DynamicBitset {
   }
 
   /// Membership test.
-  bool Test(std::size_t i) const {
-    STREAMSC_DCHECK(i < size_);
-    return (words_[i / kBitsPerWord] >> (i % kBitsPerWord)) & 1;
-  }
+  bool Test(std::size_t i) const { return span().Test(i); }
 
   /// Removes all elements.
   void Clear();
@@ -92,22 +95,28 @@ class DynamicBitset {
   void Fill();
 
   /// Number of elements in the set (popcount).
-  Count CountSet() const;
+  Count CountSet() const { return span().CountSet(); }
 
   /// True iff the set is empty.
-  bool None() const;
+  bool None() const { return span().None(); }
 
   /// True iff the set equals the whole universe.
-  bool All() const { return CountSet() == size_; }
+  bool All() const { return span().All(); }
 
   /// In-place union: *this |= other.
-  DynamicBitset& operator|=(const DynamicBitset& other);
+  DynamicBitset& operator|=(const DynamicBitset& other) {
+    other.span().OrInto(*this);
+    return *this;
+  }
 
   /// In-place intersection: *this &= other.
   DynamicBitset& operator&=(const DynamicBitset& other);
 
   /// In-place difference: *this \= other.
-  DynamicBitset& AndNot(const DynamicBitset& other);
+  DynamicBitset& AndNot(const DynamicBitset& other) {
+    other.span().AndNotInto(*this);
+    return *this;
+  }
 
   /// In-place complement (within the universe).
   void Complement();
@@ -125,16 +134,24 @@ class DynamicBitset {
   DynamicBitset Difference(const DynamicBitset& other) const;
 
   /// |*this & other| computed without allocating.
-  Count CountAnd(const DynamicBitset& other) const;
+  Count CountAnd(const DynamicBitset& other) const {
+    return span().CountAnd(other.span());
+  }
 
   /// |*this \ other| computed without allocating.
-  Count CountAndNot(const DynamicBitset& other) const;
+  Count CountAndNot(const DynamicBitset& other) const {
+    return span().CountAndNot(other.span());
+  }
 
   /// True iff the two sets share at least one element.
-  bool Intersects(const DynamicBitset& other) const;
+  bool Intersects(const DynamicBitset& other) const {
+    return span().Intersects(other.span());
+  }
 
   /// True iff *this ⊆ other.
-  bool IsSubsetOf(const DynamicBitset& other) const;
+  bool IsSubsetOf(const DynamicBitset& other) const {
+    return span().IsSubsetOf(other.span());
+  }
 
   /// Index of the smallest element, or kInvalidElementId if empty.
   ElementId FindFirst() const;
@@ -144,22 +161,14 @@ class DynamicBitset {
   ElementId FindNext(std::size_t i) const;
 
   /// All member elements in increasing order.
-  std::vector<ElementId> ToIndices() const;
-
-  /// Appends the member elements (increasing order) to any push_back-able
-  /// container — the allocation-free alternative to ToIndices for
-  /// arena-backed consumers.
-  template <typename Vec>
-  void AppendIndicesInto(Vec& out) const {
-    ForEach([&out](ElementId e) { out.push_back(e); });
-  }
+  std::vector<ElementId> ToIndices() const { return span().ToIndices(); }
 
   /// Hamming distance |*this Δ other| (symmetric difference size).
   Count HammingDistance(const DynamicBitset& other) const;
 
   /// Logical size of this bitset in bytes (for space accounting):
   /// one bit per universe element, rounded up to whole words.
-  Bytes ByteSize() const { return words_.size() * sizeof(Word); }
+  Bytes ByteSize() const { return span().ByteSize(); }
 
   /// Number of backing 64-bit words (word-level fast paths, e.g. the
   /// SubUniverse projection gather).
@@ -190,7 +199,7 @@ class DynamicBitset {
   const Word* WordData() const { return words_.data(); }
 
   /// "{0, 3, 7}" style debug rendering.
-  std::string ToString() const;
+  std::string ToString() const { return span().ToString(); }
 
   friend bool operator==(const DynamicBitset& a, const DynamicBitset& b) {
     return a.size_ == b.size_ && a.words_ == b.words_;
@@ -202,14 +211,7 @@ class DynamicBitset {
   /// Calls \p fn(ElementId) for every member element in increasing order.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    for (std::size_t w = 0; w < words_.size(); ++w) {
-      Word word = words_[w];
-      while (word != 0) {
-        const int bit = __builtin_ctzll(word);
-        fn(static_cast<ElementId>(w * kBitsPerWord + bit));
-        word &= word - 1;
-      }
-    }
+    span().ForEach(static_cast<Fn&&>(fn));
   }
 
  private:

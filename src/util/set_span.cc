@@ -1,24 +1,27 @@
-#include "util/check.h"
 #include "util/set_span.h"
 
 #include <algorithm>
 #include <bit>
-#include <sstream>
+
+#include "util/bitset.h"
+#include "util/check.h"
 
 namespace streamsc {
 namespace {
 
-using Word = DynamicBitset::Word;
+using Word = DenseSpan::Word;
 
-std::string RenderIndices(const std::vector<ElementId>& ids) {
-  std::ostringstream out;
-  out << '{';
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    if (i > 0) out << ", ";
-    out << ids[i];
-  }
-  out << '}';
-  return out.str();
+template <typename Span>
+std::string RenderIndices(const Span& span) {
+  std::string out = "{";
+  bool first = true;
+  span.ForEach([&](ElementId e) {
+    if (!first) out += ", ";
+    out += std::to_string(e);
+    first = false;
+  });
+  out += "}";
+  return out;
 }
 
 }  // namespace
@@ -40,40 +43,40 @@ bool DenseSpan::None() const {
   return true;
 }
 
-Count DenseSpan::CountAnd(const DynamicBitset& other) const {
-  STREAMSC_DCHECK(other.size() == size_);
+Count DenseSpan::CountAnd(DenseSpan other) const {
+  STREAMSC_DCHECK(other.size_ == size_);
   Count total = 0;
   const std::size_t words = WordCount();
   for (std::size_t w = 0; w < words; ++w) {
-    total += std::popcount(words_[w] & other.GetWord(w));
+    total += std::popcount(words_[w] & other.words_[w]);
   }
   return total;
 }
 
-Count DenseSpan::CountAndNot(const DynamicBitset& other) const {
-  STREAMSC_DCHECK(other.size() == size_);
+Count DenseSpan::CountAndNot(DenseSpan other) const {
+  STREAMSC_DCHECK(other.size_ == size_);
   Count total = 0;
   const std::size_t words = WordCount();
   for (std::size_t w = 0; w < words; ++w) {
-    total += std::popcount(words_[w] & ~other.GetWord(w));
+    total += std::popcount(words_[w] & ~other.words_[w]);
   }
   return total;
 }
 
-bool DenseSpan::Intersects(const DynamicBitset& other) const {
-  STREAMSC_DCHECK(other.size() == size_);
+bool DenseSpan::Intersects(DenseSpan other) const {
+  STREAMSC_DCHECK(other.size_ == size_);
   const std::size_t words = WordCount();
   for (std::size_t w = 0; w < words; ++w) {
-    if ((words_[w] & other.GetWord(w)) != 0) return true;
+    if ((words_[w] & other.words_[w]) != 0) return true;
   }
   return false;
 }
 
-bool DenseSpan::IsSubsetOf(const DynamicBitset& other) const {
-  STREAMSC_DCHECK(other.size() == size_);
+bool DenseSpan::IsSubsetOf(DenseSpan other) const {
+  STREAMSC_DCHECK(other.size_ == size_);
   const std::size_t words = WordCount();
   for (std::size_t w = 0; w < words; ++w) {
-    if ((words_[w] & ~other.GetWord(w)) != 0) return false;
+    if ((words_[w] & ~other.words_[w]) != 0) return false;
   }
   return true;
 }
@@ -92,13 +95,6 @@ void DenseSpan::OrInto(DynamicBitset& target) const {
   for (std::size_t w = 0; w < words; ++w) target.OrWord(w, words_[w]);
 }
 
-DynamicBitset DenseSpan::ToBitset() const {
-  DynamicBitset out(size_);
-  const std::size_t words = WordCount();
-  for (std::size_t w = 0; w < words; ++w) out.OrWord(w, words_[w]);
-  return out;
-}
-
 std::vector<ElementId> DenseSpan::ToIndices() const {
   std::vector<ElementId> out;
   out.reserve(static_cast<std::size_t>(CountSet()));
@@ -106,7 +102,7 @@ std::vector<ElementId> DenseSpan::ToIndices() const {
   return out;
 }
 
-std::string DenseSpan::ToString() const { return RenderIndices(ToIndices()); }
+std::string DenseSpan::ToString() const { return RenderIndices(*this); }
 
 // ---- SparseSpan ------------------------------------------------------------
 
@@ -116,21 +112,21 @@ bool SparseSpan::Test(std::size_t i) const {
                             static_cast<ElementId>(i));
 }
 
-Count SparseSpan::CountAnd(const DynamicBitset& other) const {
+Count SparseSpan::CountAnd(DenseSpan other) const {
   STREAMSC_DCHECK(other.size() == size_);
   Count total = 0;
   for (std::size_t i = 0; i < count_; ++i) total += other.Test(elements_[i]);
   return total;
 }
 
-Count SparseSpan::CountAndNot(const DynamicBitset& other) const {
+Count SparseSpan::CountAndNot(DenseSpan other) const {
   STREAMSC_DCHECK(other.size() == size_);
   Count total = 0;
   for (std::size_t i = 0; i < count_; ++i) total += !other.Test(elements_[i]);
   return total;
 }
 
-bool SparseSpan::Intersects(const DynamicBitset& other) const {
+bool SparseSpan::Intersects(DenseSpan other) const {
   STREAMSC_DCHECK(other.size() == size_);
   for (std::size_t i = 0; i < count_; ++i) {
     if (other.Test(elements_[i])) return true;
@@ -138,7 +134,7 @@ bool SparseSpan::Intersects(const DynamicBitset& other) const {
   return false;
 }
 
-bool SparseSpan::IsSubsetOf(const DynamicBitset& other) const {
+bool SparseSpan::IsSubsetOf(DenseSpan other) const {
   STREAMSC_DCHECK(other.size() == size_);
   for (std::size_t i = 0; i < count_; ++i) {
     if (!other.Test(elements_[i])) return false;
@@ -156,12 +152,6 @@ void SparseSpan::OrInto(DynamicBitset& target) const {
   for (std::size_t i = 0; i < count_; ++i) target.Set(elements_[i]);
 }
 
-DynamicBitset SparseSpan::ToBitset() const {
-  DynamicBitset out(size_);
-  for (std::size_t i = 0; i < count_; ++i) out.Set(elements_[i]);
-  return out;
-}
-
-std::string SparseSpan::ToString() const { return RenderIndices(ToIndices()); }
+std::string SparseSpan::ToString() const { return RenderIndices(*this); }
 
 }  // namespace streamsc

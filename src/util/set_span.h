@@ -1,38 +1,48 @@
 #ifndef STREAMSC_UTIL_SET_SPAN_H_
 #define STREAMSC_UTIL_SET_SPAN_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
-#include "util/bitset.h"
 #include "util/check.h"
 #include "util/common.h"
 
 /// \file set_span.h
-/// Non-owning span representations of one set, mirroring the owning pair
-/// DynamicBitset / SparseSet:
+/// The two set representations, as non-owning spans, and the only home of
+/// the set read kernels:
 ///
-/// * DenseSpan  — a borrowed run of packed 64-bit words (n bits).
-/// * SparseSpan — a borrowed run of sorted, duplicate-free member ids.
+/// * DenseSpan  — a run of packed 64-bit words (n bits): ops cost n/64
+///   word operations.
+/// * SparseSpan — a run of sorted, duplicate-free member ids: ops cost k
+///   element operations.
 ///
-/// These exist so storage that is not heap-resident — most importantly the
-/// mmap'd payloads of an sscb1 file (storage/mmap_set_stream.h) — can be
-/// read through SetView without copying a single byte. The spans implement
-/// the same const surface as their owning counterparts; SetView dispatches
-/// to whichever representation it holds.
+/// Every set in the system is read through one of these. The owning
+/// containers (DynamicBitset, SparseSet) hand out a span over their
+/// storage via span(); the mmap'd payloads of an sscb1 or sscd1 file
+/// (storage/mmap_set_stream.h, dynamic/delta_log.h) are spans directly
+/// over the mapping. SetView (util/set_view.h) is a by-value copy of one
+/// span plus a tag.
+///
+/// Binary read ops take the other operand as a DenseSpan (the residual
+/// universe is always dense); the two write ops mutate an owning
+/// DynamicBitset in place.
 ///
 /// Invariants are the *storage side's* responsibility (they are what
-/// MmapSetStream validates at open): a DenseSpan's tail bits beyond size()
-/// are zero, a SparseSpan's ids are strictly increasing and < size().
+/// DynamicBitset maintains and MmapSetStream validates at open): a
+/// DenseSpan's tail bits beyond size() are zero, a SparseSpan's ids are
+/// strictly increasing and < size().
 
 namespace streamsc {
 
-/// A borrowed dense set: \p word_count = ceil(size / 64) packed words.
-/// The span does not own the words; they must outlive it.
+class DynamicBitset;
+
+/// A borrowed dense set: ceil(size / 64) packed words. The span does not
+/// own the words; they must outlive it.
 class DenseSpan {
  public:
-  using Word = DynamicBitset::Word;
-  static constexpr std::size_t kBitsPerWord = DynamicBitset::kBitsPerWord;
+  using Word = std::uint64_t;
+  static constexpr std::size_t kBitsPerWord = 64;
 
   DenseSpan() = default;
 
@@ -75,25 +85,22 @@ class DenseSpan {
   bool All() const { return CountSet() == size_; }
 
   /// |*this & other|.
-  Count CountAnd(const DynamicBitset& other) const;
+  Count CountAnd(DenseSpan other) const;
 
   /// |*this \ other|.
-  Count CountAndNot(const DynamicBitset& other) const;
+  Count CountAndNot(DenseSpan other) const;
 
   /// True iff the two sets share at least one element.
-  bool Intersects(const DynamicBitset& other) const;
+  bool Intersects(DenseSpan other) const;
 
   /// True iff *this ⊆ other.
-  bool IsSubsetOf(const DynamicBitset& other) const;
+  bool IsSubsetOf(DenseSpan other) const;
 
   /// target \= *this.
   void AndNotInto(DynamicBitset& target) const;
 
   /// target |= *this.
   void OrInto(DynamicBitset& target) const;
-
-  /// Materializes an owning dense copy.
-  DynamicBitset ToBitset() const;
 
   /// All member elements in increasing order.
   std::vector<ElementId> ToIndices() const;
@@ -139,7 +146,7 @@ class SparseSpan {
   /// Universe size.
   std::size_t size() const { return size_; }
 
-  /// The member ids, sorted ascending.
+  /// The member ids, sorted ascending (CountSet() of them).
   const ElementId* elements() const { return elements_; }
 
   /// Number of elements in the set.
@@ -155,25 +162,22 @@ class SparseSpan {
   bool Test(std::size_t i) const;
 
   /// |*this & other| — O(k) membership probes into \p other.
-  Count CountAnd(const DynamicBitset& other) const;
+  Count CountAnd(DenseSpan other) const;
 
   /// |*this \ other| — O(k) membership probes into \p other.
-  Count CountAndNot(const DynamicBitset& other) const;
+  Count CountAndNot(DenseSpan other) const;
 
   /// True iff the two sets share at least one element.
-  bool Intersects(const DynamicBitset& other) const;
+  bool Intersects(DenseSpan other) const;
 
   /// True iff *this ⊆ other.
-  bool IsSubsetOf(const DynamicBitset& other) const;
+  bool IsSubsetOf(DenseSpan other) const;
 
   /// target \= *this.
   void AndNotInto(DynamicBitset& target) const;
 
   /// target |= *this.
   void OrInto(DynamicBitset& target) const;
-
-  /// Materializes an owning dense copy.
-  DynamicBitset ToBitset() const;
 
   /// All member elements in increasing order (a copy).
   std::vector<ElementId> ToIndices() const {

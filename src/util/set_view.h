@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "util/bitset.h"
@@ -14,100 +15,65 @@
 /// \file set_view.h
 /// SetView: a non-owning, representation-agnostic view of one set.
 ///
-/// The hybrid set substrate stores each set in one of four shapes — owning
-/// dense (DynamicBitset), owning sparse (SparseSet), or the borrowed span
-/// forms DenseSpan / SparseSpan that the mmap-backed instance store serves
-/// straight out of a mapped file — and SetView is the uniform read API the
-/// algorithms consume. A pruning scan or projection pass runs at the cost
-/// of the *representation* (n/64 word ops dense, k element ops sparse)
-/// without the algorithm knowing which it got. Views are a tagged pointer
-/// — pass by value. A view borrows its target: it is invalidated by
-/// anything that invalidates the target (e.g. SetSystem::AddSet growing
-/// storage, or an MmapSetStream being destroyed).
+/// A set is stored in one of two shapes — dense words or sorted sparse
+/// ids — and SetView is the uniform read API the algorithms consume. It
+/// holds, by value, either a DenseSpan or a SparseSpan (util/set_span.h)
+/// plus a tag, and forwards every op to that span's kernel. A pruning scan
+/// or projection pass therefore runs at the cost of the *representation*
+/// (n/64 word ops dense, k element ops sparse) without the algorithm
+/// knowing which it got. The owning containers convert implicitly:
+/// DynamicBitset and SparseSet hand over span(), and the mmap-backed
+/// stores hand over spans straight out of a mapped file.
+///
+/// Views are trivially copyable and at most 32 bytes — pass by value. A
+/// view borrows its target's storage: it is invalidated by anything that
+/// frees or moves that storage (e.g. SetSystem::AddSet growing its
+/// payload vectors, or an MmapSetStream being destroyed).
 
 namespace streamsc {
 
-/// A borrowed view of a dense or sparse set, owning or span. Cheap to copy.
+/// A borrowed view of a dense or sparse set. Cheap to copy.
 class SetView {
  public:
   /// An invalid (detached) view; valid() is false.
-  SetView() = default;
+  SetView() : dense_() {}
 
   /// Views a dense set. Implicit: any DynamicBitset is usable as a view.
-  SetView(const DynamicBitset& dense)  // NOLINT
-      : target_(&dense), rep_(Rep::kDense) {}
+  SetView(const DynamicBitset& dense) : SetView(dense.span()) {}  // NOLINT
 
   /// Views a sparse set.
-  SetView(const SparseSet& sparse)  // NOLINT
-      : target_(&sparse), rep_(Rep::kSparse) {}
+  SetView(const SparseSet& sparse) : SetView(sparse.span()) {}  // NOLINT
 
-  /// Views a borrowed dense word span (e.g. an mmap'd sscb1 payload).
-  SetView(const DenseSpan& span)  // NOLINT
-      : target_(&span), rep_(Rep::kDenseSpan) {}
+  /// Views a dense word span (e.g. an mmap'd sscb1 payload).
+  SetView(DenseSpan span) : dense_(span), rep_(Rep::kDense) {}  // NOLINT
 
-  /// Views a borrowed sorted-id span (e.g. an mmap'd sscb1 payload).
-  SetView(const SparseSpan& span)  // NOLINT
-      : target_(&span), rep_(Rep::kSparseSpan) {}
+  /// Views a sorted-id span (e.g. an mmap'd sscb1 payload).
+  SetView(SparseSpan span) : sparse_(span), rep_(Rep::kSparse) {}  // NOLINT
 
  private:
-  // Invokes \p fn with the concrete representation reference. Defined
-  // before its uses so the deduced return type is available to the
-  // dispatching methods below.
+  // Invokes \p fn with the held span. Defined before its uses so the
+  // deduced return type is available to the dispatching methods below.
   template <typename Fn>
   decltype(auto) Visit(Fn&& fn) const {
     STREAMSC_DCHECK(valid());
-    switch (rep_) {
-      case Rep::kSparse:
-        return fn(*static_cast<const SparseSet*>(target_));
-      case Rep::kDenseSpan:
-        return fn(*static_cast<const DenseSpan*>(target_));
-      case Rep::kSparseSpan:
-        return fn(*static_cast<const SparseSpan*>(target_));
-      case Rep::kDense:
-      case Rep::kNone:
-      default:
-        // kNone is excluded by the assert above; dispatch kDense here so
-        // every path returns.
-        return fn(*static_cast<const DynamicBitset*>(target_));
-    }
+    if (rep_ == Rep::kSparse) return fn(sparse_);
+    return fn(dense_);
   }
 
  public:
   /// True iff the view points at a set.
   bool valid() const { return rep_ != Rep::kNone; }
 
-  /// True iff the underlying representation is an owning DynamicBitset.
-  /// (Word-level consumers that also handle DenseSpan should test
-  /// dense_words() instead.)
-  bool is_dense() const { return rep_ == Rep::kDense; }
-
-  /// The underlying owning dense set, or nullptr otherwise.
-  const DynamicBitset* dense() const {
-    return rep_ == Rep::kDense ? static_cast<const DynamicBitset*>(target_)
-                               : nullptr;
-  }
-
-  /// The underlying owning sparse set, or nullptr otherwise.
-  const SparseSet* sparse() const {
-    return rep_ == Rep::kSparse ? static_cast<const SparseSet*>(target_)
-                                : nullptr;
-  }
-
-  /// The underlying dense span, or nullptr otherwise.
+  /// The held dense span (a pointer into this view), or nullptr if the
+  /// set is sparse.
   const DenseSpan* dense_span() const {
-    return rep_ == Rep::kDenseSpan ? static_cast<const DenseSpan*>(target_)
-                                   : nullptr;
+    return rep_ == Rep::kDense ? &dense_ : nullptr;
   }
 
-  /// The underlying sparse span, or nullptr otherwise.
+  /// The held sparse span (a pointer into this view), or nullptr if the
+  /// set is dense.
   const SparseSpan* sparse_span() const {
-    return rep_ == Rep::kSparseSpan ? static_cast<const SparseSpan*>(target_)
-                                    : nullptr;
-  }
-
-  /// True iff the representation is word-addressable (dense or dense span).
-  bool is_dense_rep() const {
-    return rep_ == Rep::kDense || rep_ == Rep::kDenseSpan;
+    return rep_ == Rep::kSparse ? &sparse_ : nullptr;
   }
 
   /// Universe size of the viewed set.
@@ -137,87 +103,40 @@ class SetView {
 
   /// |*this & other|.
   Count CountAnd(const DynamicBitset& other) const {
-    return Visit([&other](const auto& s) { return s.CountAnd(other); });
+    return Visit([&other](const auto& s) { return s.CountAnd(other.span()); });
   }
 
   /// |*this \ other|.
   Count CountAndNot(const DynamicBitset& other) const {
-    return Visit([&other](const auto& s) { return s.CountAndNot(other); });
+    return Visit(
+        [&other](const auto& s) { return s.CountAndNot(other.span()); });
   }
 
   /// True iff the two sets share at least one element.
   bool Intersects(const DynamicBitset& other) const {
-    return Visit([&other](const auto& s) { return s.Intersects(other); });
+    return Visit(
+        [&other](const auto& s) { return s.Intersects(other.span()); });
   }
 
   /// True iff *this ⊆ other.
   bool IsSubsetOf(const DynamicBitset& other) const {
-    return Visit([&other](const auto& s) { return s.IsSubsetOf(other); });
+    return Visit(
+        [&other](const auto& s) { return s.IsSubsetOf(other.span()); });
   }
 
   /// target \= *this (clears this set's members in \p target).
   void AndNotInto(DynamicBitset& target) const {
-    switch (rep_) {
-      case Rep::kDense:
-        target.AndNot(*static_cast<const DynamicBitset*>(target_));
-        return;
-      case Rep::kSparse:
-        static_cast<const SparseSet*>(target_)->AndNotInto(target);
-        return;
-      case Rep::kDenseSpan:
-        static_cast<const DenseSpan*>(target_)->AndNotInto(target);
-        return;
-      case Rep::kSparseSpan:
-        static_cast<const SparseSpan*>(target_)->AndNotInto(target);
-        return;
-      case Rep::kNone:
-        break;
-    }
-    STREAMSC_DCHECK(false && "AndNotInto on an invalid SetView");
+    Visit([&target](const auto& s) { s.AndNotInto(target); });
   }
 
   /// target |= *this.
   void OrInto(DynamicBitset& target) const {
-    switch (rep_) {
-      case Rep::kDense:
-        target |= *static_cast<const DynamicBitset*>(target_);
-        return;
-      case Rep::kSparse:
-        static_cast<const SparseSet*>(target_)->OrInto(target);
-        return;
-      case Rep::kDenseSpan:
-        static_cast<const DenseSpan*>(target_)->OrInto(target);
-        return;
-      case Rep::kSparseSpan:
-        static_cast<const SparseSpan*>(target_)->OrInto(target);
-        return;
-      case Rep::kNone:
-        break;
-    }
-    STREAMSC_DCHECK(false && "OrInto on an invalid SetView");
+    Visit([&target](const auto& s) { s.OrInto(target); });
   }
 
-  /// Materializes a dense copy of the viewed set.
-  DynamicBitset ToDense() const {
-    switch (rep_) {
-      case Rep::kDense:
-        return *static_cast<const DynamicBitset*>(target_);
-      case Rep::kSparse:
-        return static_cast<const SparseSet*>(target_)->ToBitset();
-      case Rep::kDenseSpan:
-        return static_cast<const DenseSpan*>(target_)->ToBitset();
-      case Rep::kSparseSpan:
-        return static_cast<const SparseSpan*>(target_)->ToBitset();
-      case Rep::kNone:
-        break;
-    }
-    STREAMSC_DCHECK(false && "ToDense on an invalid SetView");
-    return DynamicBitset();
-  }
-
-  /// Materializes a dense copy into \p alloc (the re-homing form: works
-  /// for every representation at that representation's scan cost).
-  DynamicBitset ToDense(DynamicBitset::Allocator alloc) const {
+  /// Materializes a dense copy into \p alloc (heap by default), at the
+  /// viewed representation's scan cost.
+  DynamicBitset ToDense(DynamicBitset::Allocator alloc = {}) const {
     DynamicBitset out(size(), alloc);
     OrInto(out);
     return out;
@@ -238,13 +157,6 @@ class SetView {
     return Visit([](const auto& s) { return s.ToIndices(); });
   }
 
-  /// Appends the member elements (increasing order) to any push_back-able
-  /// container — the allocation-free alternative to ToIndices.
-  template <typename Vec>
-  void AppendIndicesInto(Vec& out) const {
-    ForEach([&out](ElementId e) { out.push_back(e); });
-  }
-
   /// Logical size in bytes of the *viewed representation*.
   Bytes ByteSize() const {
     return Visit([](const auto& s) { return s.ByteSize(); });
@@ -258,25 +170,7 @@ class SetView {
   /// Calls \p fn(ElementId) for every member element in increasing order.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    switch (rep_) {
-      case Rep::kDense:
-        static_cast<const DynamicBitset*>(target_)->ForEach(
-            static_cast<Fn&&>(fn));
-        return;
-      case Rep::kSparse:
-        static_cast<const SparseSet*>(target_)->ForEach(static_cast<Fn&&>(fn));
-        return;
-      case Rep::kDenseSpan:
-        static_cast<const DenseSpan*>(target_)->ForEach(static_cast<Fn&&>(fn));
-        return;
-      case Rep::kSparseSpan:
-        static_cast<const SparseSpan*>(target_)->ForEach(
-            static_cast<Fn&&>(fn));
-        return;
-      case Rep::kNone:
-        break;
-    }
-    STREAMSC_DCHECK(false && "ForEach on an invalid SetView");
+    Visit([&fn](const auto& s) { s.ForEach(fn); });
   }
 
   /// Content equality across representations (same universe, same
@@ -284,17 +178,16 @@ class SetView {
   friend bool operator==(const SetView& a, const SetView& b);
 
  private:
-  enum class Rep : std::uint8_t {
-    kNone,
-    kDense,
-    kSparse,
-    kDenseSpan,
-    kSparseSpan,
-  };
+  enum class Rep : std::uint8_t { kNone, kDense, kSparse };
 
-  const void* target_ = nullptr;
+  union {
+    DenseSpan dense_;
+    SparseSpan sparse_;
+  };
   Rep rep_ = Rep::kNone;
 };
+
+static_assert(std::is_trivially_copyable_v<SetView> && sizeof(SetView) <= 32);
 
 }  // namespace streamsc
 

@@ -2,12 +2,11 @@
 #define STREAMSC_UTIL_SPARSE_SET_H_
 
 #include <span>
-#include <string>
-#include <vector>
 
 #include "util/arena.h"
 #include "util/bitset.h"
 #include "util/common.h"
+#include "util/set_span.h"
 
 /// \file sparse_set.h
 /// SparseSet: a subset of a fixed universe [n] stored as a sorted vector
@@ -15,8 +14,11 @@
 /// DynamicBitset always costs n bits and scans in n/64 word operations,
 /// while a SparseSet with k members costs 32k bits and scans in k
 /// operations — a large win whenever the density k/n is below ~1/32.
-/// SetSystem picks between the two per set (see instance/set_system.h);
-/// algorithms consume either through SetView (util/set_view.h).
+/// SetSystem picks between the two per set (see instance/set_system.h).
+///
+/// SparseSet only owns and builds the id vector. It has no read ops of its
+/// own: span() hands out a SparseSpan (util/set_span.h), where the sparse
+/// kernels live, and algorithms read it through SetView (util/set_view.h).
 
 namespace streamsc {
 
@@ -76,61 +78,15 @@ class SparseSet {
   /// The allocator backing the member ids.
   Allocator get_allocator() const { return elements_.get_allocator(); }
 
-  /// Converts to dense form (into \p alloc; heap by default).
-  DynamicBitset ToBitset(DynamicBitset::Allocator alloc = {}) const;
-
   /// Universe size (matches DynamicBitset::size() semantics).
   std::size_t size() const { return size_; }
-
-  /// Number of elements in the set.
-  Count CountSet() const { return elements_.size(); }
-
-  /// True iff the set is empty.
-  bool None() const { return elements_.empty(); }
-
-  /// True iff the set equals the whole universe.
-  bool All() const { return elements_.size() == size_; }
-
-  /// Membership test (binary search, O(log k)).
-  bool Test(std::size_t i) const;
 
   /// The member ids, sorted ascending.
   const ArenaVector<ElementId>& elements() const { return elements_; }
 
-  /// All member elements in increasing order (a heap copy; see elements()
-  /// for the borrowed form).
-  std::vector<ElementId> ToIndices() const {
-    return std::vector<ElementId>(elements_.begin(), elements_.end());
-  }
-
-  /// |*this & other| — O(k) membership probes into \p other.
-  Count CountAnd(const DynamicBitset& other) const;
-
-  /// |*this \ other| — O(k) membership probes into \p other.
-  Count CountAndNot(const DynamicBitset& other) const;
-
-  /// True iff the two sets share at least one element.
-  bool Intersects(const DynamicBitset& other) const;
-
-  /// True iff *this ⊆ other.
-  bool IsSubsetOf(const DynamicBitset& other) const;
-
-  /// target \= *this (clears this set's members in \p target).
-  void AndNotInto(DynamicBitset& target) const;
-
-  /// target |= *this.
-  void OrInto(DynamicBitset& target) const;
-
-  /// Logical size in bytes for space accounting: the member-id payload.
-  Bytes ByteSize() const { return elements_.size() * sizeof(ElementId); }
-
-  /// "{0, 3, 7}" style debug rendering.
-  std::string ToString() const;
-
-  /// Calls \p fn(ElementId) for every member element in increasing order.
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    for (ElementId e : elements_) fn(e);
+  /// The ids as a borrowed SparseSpan (valid while the set is alive).
+  SparseSpan span() const {
+    return SparseSpan(elements_.data(), elements_.size(), size_);
   }
 
   friend bool operator==(const SparseSet& a, const SparseSet& b) {

@@ -17,98 +17,6 @@
 namespace streamsc {
 namespace {
 
-SetSystem LeftHalf() {
-  SetSystem system(6);
-  system.AddSetFromIndices({0, 1});
-  system.AddSetFromIndices({2});
-  return system;
-}
-
-SetSystem RightHalf() {
-  SetSystem system(6);
-  system.AddSetFromIndices({3, 4});
-  system.AddSetFromIndices({5});
-  system.AddSetFromIndices({0, 5});
-  return system;
-}
-
-std::vector<SetId> Drain(SetStream& stream) {
-  stream.BeginPass();
-  std::vector<SetId> ids;
-  StreamItem item;
-  while (stream.Next(&item)) ids.push_back(item.id);
-  return ids;
-}
-
-TEST(ConcatSetStreamTest, AliceThenBobOrderAndIds) {
-  const SetSystem left = LeftHalf();
-  const SetSystem right = RightHalf();
-  VectorSetStream a(left), b(right);
-  ConcatSetStream concat(a, b);
-  EXPECT_EQ(concat.num_sets(), 5u);
-  EXPECT_EQ(concat.universe_size(), 6u);
-  EXPECT_EQ(Drain(concat), (std::vector<SetId>{0, 1, 2, 3, 4}));
-}
-
-TEST(ConcatSetStreamTest, SecondHalfContentsShifted) {
-  const SetSystem left = LeftHalf();
-  const SetSystem right = RightHalf();
-  VectorSetStream a(left), b(right);
-  ConcatSetStream concat(a, b);
-  concat.BeginPass();
-  StreamItem item;
-  std::vector<SetView> seen;
-  while (concat.Next(&item)) seen.push_back(item.set);
-  ASSERT_EQ(seen.size(), 5u);
-  EXPECT_TRUE(seen[2] == right.set(0));
-  EXPECT_TRUE(seen[4] == right.set(2));
-}
-
-TEST(ConcatSetStreamTest, MultiplePassesRestart) {
-  const SetSystem left = LeftHalf();
-  const SetSystem right = RightHalf();
-  VectorSetStream a(left), b(right);
-  ConcatSetStream concat(a, b);
-  EXPECT_EQ(Drain(concat).size(), 5u);
-  EXPECT_EQ(Drain(concat).size(), 5u);
-  EXPECT_EQ(concat.passes(), 2u);
-}
-
-TEST(ConcatSetStreamTest, AlgorithmRunsOverConcat) {
-  // The Theorem 1 simulation setting: Alice's sets then Bob's.
-  Rng rng(1);
-  const SetSystem whole = PlantedCoverInstance(300, 30, 4, rng);
-  SetSystem alice(300), bob(300);
-  for (SetId id = 0; id < whole.num_sets(); ++id) {
-    (id % 2 == 0 ? alice : bob).AddSetFromView(whole.set(id));
-  }
-  VectorSetStream a(alice), b(bob);
-  ConcatSetStream concat(a, b);
-  AssadiConfig config;
-  config.alpha = 2;
-  config.epsilon = 0.5;
-  AssadiSetCover algorithm(config);
-  const SetCoverRunResult result = algorithm.Run(concat);
-  ASSERT_TRUE(result.feasible);
-}
-
-TEST(InterleaveSetStreamTest, AlternatesAndExhaustsBoth) {
-  const SetSystem left = LeftHalf();    // ids 0, 1
-  const SetSystem right = RightHalf();  // ids 2, 3, 4 after shift
-  VectorSetStream a(left), b(right);
-  InterleaveSetStream interleave(a, b);
-  EXPECT_EQ(Drain(interleave), (std::vector<SetId>{0, 2, 1, 3, 4}));
-  EXPECT_EQ(interleave.num_sets(), 5u);
-}
-
-TEST(InterleaveSetStreamTest, EmptyFirstStream) {
-  SetSystem empty(6);
-  const SetSystem right = RightHalf();
-  VectorSetStream a(empty), b(right);
-  InterleaveSetStream interleave(a, b);
-  EXPECT_EQ(Drain(interleave), (std::vector<SetId>{0, 1, 2}));
-}
-
 TEST(FileSetStreamTest, StreamsSavedSystem) {
   Rng rng(2);
   const SetSystem original = PlantedCoverInstance(128, 10, 3, rng);
@@ -152,20 +60,31 @@ TEST(FileSetStreamTest, MultiplePassesReRead) {
 }
 
 TEST(FileSetStreamTest, AlgorithmRunsOverFile) {
-  Rng rng(4);
-  const SetSystem original = PlantedCoverInstance(256, 24, 4, rng);
-  const testing::ScopedTempDir dir;
-  const std::string path = dir.FilePath("stream_adapters3.ssc");
-  ASSERT_TRUE(SaveSetSystem(original, path).ok());
-  FileSetStream stream(path);
-  ASSERT_TRUE(stream.status().ok());
-  AssadiConfig config;
-  config.alpha = 2;
-  config.epsilon = 0.5;
-  AssadiSetCover algorithm(config);
-  const SetCoverRunResult result = algorithm.Run(stream);
-  ASSERT_TRUE(result.feasible);
-  EXPECT_TRUE(original.IsFeasibleCover(result.solution.chosen));
+  // Assadi over a file-backed stream, which re-parses the file every pass
+  // and holds one set at a time, on two planted instances.
+  struct Planted {
+    std::size_t n, m, cover_size;
+    std::uint64_t seed;
+  };
+  const Planted instances[] = {{256, 24, 4, 4}, {200, 20, 4, 5}};
+  for (const Planted& planted : instances) {
+    SCOPED_TRACE("n=" + std::to_string(planted.n));
+    Rng rng(planted.seed);
+    const SetSystem original =
+        PlantedCoverInstance(planted.n, planted.m, planted.cover_size, rng);
+    const testing::ScopedTempDir dir;
+    const std::string path = dir.FilePath("stream_adapters3.ssc");
+    ASSERT_TRUE(SaveSetSystem(original, path).ok());
+    FileSetStream stream(path);
+    ASSERT_TRUE(stream.status().ok());
+    AssadiConfig config;
+    config.alpha = 2;
+    config.epsilon = 0.5;
+    AssadiSetCover algorithm(config);
+    const SetCoverRunResult result = algorithm.Run(stream);
+    ASSERT_TRUE(result.feasible);
+    EXPECT_TRUE(original.IsFeasibleCover(result.solution.chosen));
+  }
 }
 
 TEST(FileSetStreamTest, MissingFileReportsStatus) {
@@ -319,28 +238,6 @@ TEST(FileSetStreamDeathTest, DeletionBetweenPassesAborts) {
 
   std::filesystem::remove(path);
   EXPECT_DEATH(stream.BeginPass(), "unreadable between passes");
-}
-
-TEST(FileSetStreamTest, NestedConcatOfFileAndVector) {
-  // Compose adapters: file stream for Alice, in-memory for Bob.
-  Rng rng(5);
-  const SetSystem whole = PlantedCoverInstance(200, 20, 4, rng);
-  SetSystem alice(200), bob(200);
-  for (SetId id = 0; id < whole.num_sets(); ++id) {
-    (id < 10 ? alice : bob).AddSetFromView(whole.set(id));
-  }
-  const testing::ScopedTempDir dir;
-  const std::string path = dir.FilePath("stream_adapters4.ssc");
-  ASSERT_TRUE(SaveSetSystem(alice, path).ok());
-  FileSetStream a(path);
-  VectorSetStream b(bob);
-  ConcatSetStream concat(a, b);
-  AssadiConfig config;
-  config.alpha = 2;
-  config.epsilon = 0.5;
-  AssadiSetCover algorithm(config);
-  const SetCoverRunResult result = algorithm.Run(concat);
-  EXPECT_TRUE(result.feasible);
 }
 
 }  // namespace
