@@ -2,21 +2,21 @@
 
 #include <algorithm>
 #include <bit>
+#include <span>
 
 #include "stream/parallel_pass_engine.h"
+#include "util/check.h"
 
 namespace streamsc {
 namespace {
 
 using Word = DynamicBitset::Word;
+using internal::GatherBlock;
 
 // Compacts the bits of x selected by mask into the low bits of the
 // result (BMI2 pext semantics, portable: one iteration per mask bit that
 // survives in x, so all-zero inputs cost one branch).
-inline Word ExtractBits(Word x, Word mask) {
-#if defined(__BMI2__)
-  return __builtin_ia32_pext_di(x, mask);
-#else
+inline Word ExtractBitsPortable(Word x, Word mask) {
   Word selected = x & mask;
   Word out = 0;
   while (selected != 0) {
@@ -26,10 +26,69 @@ inline Word ExtractBits(Word x, Word mask) {
     selected ^= lowest;
   }
   return out;
+}
+
+// The gather loop both tiers share; `extract` is the per-word pext. Always
+// inlined, so each tier's loop is compiled with that tier's target flags.
+template <typename Extract>
+[[gnu::always_inline]] inline void GatherLoop(
+    std::span<const GatherBlock> plan, const Word* words, DynamicBitset& out,
+    Extract extract) {
+  for (const GatherBlock& block : plan) {
+    const Word bits = extract(words[block.src_word], block.mask);
+    if (bits == 0) continue;
+    const std::size_t word = block.dst_bit / DynamicBitset::kBitsPerWord;
+    const std::size_t offset = block.dst_bit % DynamicBitset::kBitsPerWord;
+    out.OrWord(word, bits << offset);
+    // Bits shifted past the word's top spill into the next output word,
+    // which then exists: they are sampled positions below out.size().
+    if (offset != 0) {
+      const Word spill = bits >> (DynamicBitset::kBitsPerWord - offset);
+      if (spill != 0) out.OrWord(word + 1, spill);
+    }
+  }
+}
+
+#if defined(__x86_64__)
+__attribute__((target("bmi2"))) inline Word ExtractBitsPext(Word x,
+                                                            Word mask) {
+  return __builtin_ia32_pext_di(x, mask);
+}
+
+__attribute__((target("bmi2"))) void GatherWithPext(
+    std::span<const GatherBlock> plan, const Word* words,
+    DynamicBitset& out) {
+  GatherLoop(plan, words, out, ExtractBitsPext);
+}
 #endif
+
+// The gather loop of this process, picked once on first use.
+internal::GatherFn SelectedGather() {
+  static const internal::GatherFn gather = [] {
+    const internal::GatherFn pext = internal::PextGatherIfSupported();
+    return pext != nullptr ? pext : &internal::GatherPortable;
+  }();
+  return gather;
 }
 
 }  // namespace
+
+namespace internal {
+
+void GatherPortable(std::span<const GatherBlock> plan, const Word* words,
+                    DynamicBitset& out) {
+  GatherLoop(plan, words, out, ExtractBitsPortable);
+}
+
+GatherFn PextGatherIfSupported() {
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("bmi2")) return &GatherWithPext;
+#endif
+  return nullptr;
+}
+
+}  // namespace internal
 
 SubUniverse::SubUniverse(const DynamicBitset& sampled,
                          ArenaAllocator<ElementId> alloc)
@@ -75,24 +134,13 @@ void SubUniverse::ForEachSampled(SparseSpan ids, Emit&& emit) const {
 
 DynamicBitset SubUniverse::Project(SetView full_set,
                                    DynamicBitset::Allocator alloc) const {
+  STREAMSC_DCHECK(full_set.size() == full_size_);
   DynamicBitset out(sample_to_full_.size(), alloc);
   if (const SparseSpan* ids = full_set.sparse_span()) {
     ForEachSampled(*ids, [&](std::uint32_t s) { out.Set(s); });
     return out;
   }
-  const DenseSpan words = *full_set.dense_span();
-  for (const GatherBlock& block : gather_) {
-    const Word bits = ExtractBits(words.GetWord(block.src_word), block.mask);
-    if (bits == 0) continue;
-    const std::size_t word = block.dst_bit / DynamicBitset::kBitsPerWord;
-    const std::size_t offset = block.dst_bit % DynamicBitset::kBitsPerWord;
-    out.OrWord(word, bits << offset);
-    const std::size_t width =
-        static_cast<std::size_t>(std::popcount(block.mask));
-    if (offset + width > DynamicBitset::kBitsPerWord) {
-      out.OrWord(word + 1, bits >> (DynamicBitset::kBitsPerWord - offset));
-    }
-  }
+  SelectedGather()(gather_, full_set.dense_span()->WordData(), out);
   return out;
 }
 

@@ -2,6 +2,7 @@
 #define STREAMSC_CORE_SAMPLING_H_
 
 #include <cstdint>
+#include <span>
 #include <variant>
 #include <vector>
 
@@ -25,10 +26,44 @@
 /// is then one extract-bits op per touched word instead of one Test/Set
 /// round-trip per sampled element; sparse sets project in O(k) id
 /// lookups.
+///
+/// The gather loop comes in two tiers, picked once per process at run
+/// time: on an x86-64 CPU with BMI2 it uses the `pext` instruction
+/// (compiled for that target alone, so a default build carries it);
+/// everywhere else it uses a portable shift-and-popcount extract. Both
+/// produce the same bits; no option or build flag selects between them.
 
 namespace streamsc {
 
 class ParallelPassEngine;
+
+namespace internal {
+
+/// One step of SubUniverse's gather plan: the sampled bits (`mask`) of
+/// full-universe word `src_word` land, compacted, at output bit `dst_bit`.
+struct GatherBlock {
+  std::uint32_t src_word;
+  std::uint32_t dst_bit;
+  DynamicBitset::Word mask;
+};
+
+/// A gather loop: for every block of \p plan, ORs the bits of
+/// words[src_word] selected by `mask` into \p out, compacted, starting at
+/// bit `dst_bit`.
+using GatherFn = void (*)(std::span<const GatherBlock> plan,
+                          const DynamicBitset::Word* words,
+                          DynamicBitset& out);
+
+/// The gather tiers behind SubUniverse::Project, declared for the test
+/// that checks they agree bit for bit; the library itself reaches them
+/// only through Project's once-per-process pick. GatherPortable runs on
+/// every target; PextGatherIfSupported returns the `pext` loop, or
+/// nullptr off x86-64 or on a CPU without BMI2.
+void GatherPortable(std::span<const GatherBlock> plan,
+                    const DynamicBitset::Word* words, DynamicBitset& out);
+GatherFn PextGatherIfSupported();
+
+}  // namespace internal
 
 /// A projection result in its natural representation: dense sources gather
 /// into a DynamicBitset, sparse sources re-index straight into a SparseSet
@@ -95,14 +130,6 @@ class SubUniverse {
   template <typename Emit>
   void ForEachSampled(SparseSpan ids, Emit&& emit) const;
 
-  // One gather step: the sampled bits of full-universe word `src_word`
-  // land, compacted, at output bit position `dst_bit`.
-  struct GatherBlock {
-    std::uint32_t src_word;
-    std::uint32_t dst_bit;
-    DynamicBitset::Word mask;
-  };
-
   std::size_t full_size_;
   ArenaVector<ElementId> sample_to_full_;
   // Rank structure for full id -> sample id: the sampled bits per
@@ -112,7 +139,7 @@ class SubUniverse {
   // bound, so the working set matters more than the op count.
   ArenaVector<DynamicBitset::Word> sampled_words_;
   ArenaVector<std::uint32_t> word_rank_;
-  ArenaVector<GatherBlock> gather_;
+  ArenaVector<internal::GatherBlock> gather_;
 };
 
 /// Builds the Lemma 3.12 sample of \p universe: each element kept

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <span>
 #include <unordered_map>
 #include <utility>
 
@@ -28,13 +29,18 @@ struct StateKeyHash {
   }
 };
 
+// Hashes each nonzero word together with its index, so the cost is one
+// step per touched word rather than one per uncovered element.
 StateKey KeyOf(const DynamicBitset& bs) {
   std::uint64_t h1 = 0x243f6a8885a308d3ull;
   std::uint64_t h2 = 0x13198a2e03707344ull;
-  bs.ForEach([&](ElementId e) {
-    h1 = (h1 ^ (e + 0x9e3779b97f4a7c15ull)) * 0xff51afd7ed558ccdull;
-    h2 = (h2 + e) * 0xc4ceb9fe1a85ec53ull + (h2 >> 29);
-  });
+  for (std::size_t w = 0; w < bs.WordCount(); ++w) {
+    const std::uint64_t word = bs.GetWord(w);
+    if (word == 0) continue;
+    h1 = (h1 ^ (word + w * 0x9e3779b97f4a7c15ull)) * 0xff51afd7ed558ccdull;
+    h1 ^= h1 >> 32;
+    h2 = (h2 + (word ^ (w << 32 | w))) * 0xc4ceb9fe1a85ec53ull + (h2 >> 29);
+  }
   return {h1, h2};
 }
 
@@ -61,8 +67,11 @@ struct SearchState {
 // Returns an uncovered element with (approximately) the fewest covering
 // sets. Scans at most 64 uncovered elements: min-degree is a branching
 // heuristic, so an approximate argmin is fine and keeps node cost bounded.
+// \p gains holds every set's gain against \p uncovered; a set with gain
+// 0 contains no uncovered element, so it is skipped without a lookup.
 ElementId PickBranchElement(const SearchState& state,
                             const DynamicBitset& uncovered,
+                            std::span<const Count> gains,
                             std::size_t& degree_out) {
   ElementId best_e = kInvalidElementId;
   std::size_t best_degree = ~std::size_t{0};
@@ -72,7 +81,7 @@ ElementId PickBranchElement(const SearchState& state,
        e = uncovered.FindNext(e), ++scanned) {
     std::size_t degree = 0;
     for (SetId i = 0; i < state.system->num_sets(); ++i) {
-      if (state.system->set(i).Test(e)) {
+      if (gains[i] != 0 && state.system->set(i).Test(e)) {
         if (++degree >= best_degree) break;
       }
     }
@@ -113,35 +122,39 @@ void Search(SearchState& state, const DynamicBitset& uncovered) {
     it->second = state.current.size();
   }
 
-  // Per-node counting lower bound using the best achievable single-set
-  // gain against the *current* uncovered region.
-  const Count remaining = uncovered.CountSet();
+  // Per-node temporaries stage LIFO in the scratch arena: the gain array
+  // and candidate list under a node checkpoint, each branch bitset under
+  // a per-child checkpoint so sibling subtrees reuse the same bytes.
+  MonotonicArena& scratch = ThreadScratchArena();
+  const ArenaCheckpoint node_checkpoint(scratch);
+
+  // Every set's gain against the *current* uncovered region, computed
+  // once: the counting lower bound, the branch-element scan and the
+  // candidate order all read it.
+  const std::size_t num_sets = state.system->num_sets();
+  ArenaVector<Count> gains(num_sets, Count{0}, ArenaAllocator<Count>(&scratch));
   Count max_gain = 0;
-  for (SetId i = 0; i < state.system->num_sets(); ++i) {
-    max_gain = std::max(max_gain, state.system->set(i).CountAnd(uncovered));
+  for (SetId i = 0; i < num_sets; ++i) {
+    gains[i] = state.system->set(i).CountAnd(uncovered);
+    max_gain = std::max(max_gain, gains[i]);
   }
   if (max_gain == 0) return;  // infeasible branch
+  const Count remaining = uncovered.CountSet();
   const std::size_t lb =
       static_cast<std::size_t>(CeilDiv(remaining, max_gain));
   if (state.current.size() + lb > budget) return;
 
   std::size_t degree = 0;
-  const ElementId e = PickBranchElement(state, uncovered, degree);
+  const ElementId e = PickBranchElement(state, uncovered, gains, degree);
   if (degree == 0) return;  // e is coverable by no set: infeasible branch
-
-  // Per-node temporaries stage LIFO in the scratch arena: the candidate
-  // list under a node checkpoint, each branch bitset under a per-child
-  // checkpoint so sibling subtrees reuse the same bytes.
-  MonotonicArena& scratch = ThreadScratchArena();
-  const ArenaCheckpoint node_checkpoint(scratch);
 
   // Candidate sets containing e, largest marginal gain first.
   using Candidate = std::pair<Count, SetId>;
   ArenaVector<Candidate> candidates{ArenaAllocator<Candidate>(&scratch)};
   candidates.reserve(degree);
-  for (SetId i = 0; i < state.system->num_sets(); ++i) {
-    if (state.system->set(i).Test(e)) {
-      candidates.emplace_back(state.system->set(i).CountAnd(uncovered), i);
+  for (SetId i = 0; i < num_sets; ++i) {
+    if (gains[i] != 0 && state.system->set(i).Test(e)) {
+      candidates.emplace_back(gains[i], i);
     }
   }
   std::sort(candidates.begin(), candidates.end(),
@@ -187,10 +200,14 @@ ExactSetCoverResult SolveExactSetCover(const SetSystem& system,
     state.options = options;
 
     // Greedy warm start gives the incumbent upper bound (if feasible and
-    // within the requested size limit). The warm-start solution is
-    // call-scoped too, so it lands on the table arena alongside the state.
+    // within the requested size limit). Greedy max coverage with k =
+    // size_limit makes greedy set cover's picks but stops after
+    // size_limit of them: a longer greedy cover would fail the size check
+    // below anyway. The warm-start solution is call-scoped too, so it
+    // lands on the table arena alongside the state.
     const Solution greedy =
-        GreedySetCover(system, universe, ArenaAllocator<SetId>::Table());
+        GreedyMaxCoverage(system, universe, options.size_limit,
+                          ArenaAllocator<SetId>::Table());
     {
       MonotonicArena& scratch = ThreadScratchArena();
       const ArenaCheckpoint checkpoint(scratch);

@@ -10,6 +10,11 @@
 /// These are the unbounded-computation reference points used as sub-routine
 /// fallbacks and as quality baselines in the benches.
 ///
+/// Both evaluate gains lazily: a set's last counted gain bounds its
+/// current one, so a set is re-counted only when that bound is the
+/// largest left. The picks are exactly those of rescanning every set
+/// before each pick.
+///
 /// Arena-aware: \p alloc backs the returned Solution (heap by default);
 /// the internal uncovered-state copy stages in the calling thread's
 /// scratch arena under a checkpoint. Because of that checkpoint, \p alloc

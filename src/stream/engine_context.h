@@ -211,15 +211,23 @@ class EngineContext {
   /// results are handed to \p commit on the orchestrating thread before
   /// the next job is posted — commit re-homes whatever it keeps (the
   /// arena-aware containers' explicit-allocator copy constructors), since
-  /// worker scratch is rewound at the worker's next job pickup.
+  /// worker scratch is rewound at the worker's next job pickup. The
+  /// sequential loop holds commit to the same rule: the calling thread's
+  /// scratch is rewound after every item's commit.
   template <typename T, typename TransformFn, typename CommitFn>
   void TransformPass(TransformFn&& transform, CommitFn&& commit) {
     const PassScope scope(*this, "transform");
     BeginCountedPass();
     if (!sharded_) {
+      // transform's result lives in this thread's scratch until commit
+      // has copied out what it keeps; rewind it per item.
+      MonotonicArena& scratch = ThreadScratchArena();
       stream_.BeginPass();
       StreamItem item;
-      while (stream_.Next(&item)) commit(item, transform(item));
+      while (stream_.Next(&item)) {
+        const ArenaCheckpoint checkpoint(scratch);
+        commit(item, transform(item));
+      }
       return;
     }
     DrainPassInto(stream_, items_);

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <limits>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "instance/generators.h"
 #include "offline/exact_set_cover.h"
@@ -63,28 +68,40 @@ TEST(SubUniverseTest, ProjectLiftRoundTripOnSampledElements) {
   EXPECT_EQ(round, full & sampled);
 }
 
+// Per-element definition of a projection: sample element i is in the
+// result iff its full-universe id is in the set.
+DynamicBitset ReferenceProjection(const SubUniverse& sub, SetView set) {
+  DynamicBitset expected(sub.size());
+  for (std::size_t i = 0; i < sub.size(); ++i) {
+    if (set.Test(sub.ToFull(i))) expected.Set(i);
+  }
+  return expected;
+}
+
 TEST(SubUniverseTest, WordGatherMatchesElementwiseProjection) {
   // The gather-based Project must agree bit-for-bit with the definitional
-  // per-element projection, across word-boundary-straddling universes,
-  // for both dense and sparse inputs.
-  for (std::uint64_t seed = 0; seed < 12; ++seed) {
-    Rng rng(seed);
-    const std::size_t sizes[] = {1, 63, 64, 65, 127, 129, 500, 1000};
-    const std::size_t n = sizes[seed % 8];
-    const DynamicBitset sampled = rng.BernoulliSubset(n, 0.35);
-    const SubUniverse sub(sampled);
-    const DynamicBitset dense_set = rng.BernoulliSubset(n, 0.4);
-    const SparseSet sparse_set =
-        SparseSet::FromBitset(rng.BernoulliSubset(n, 0.02));
+  // per-element projection, across word-boundary-straddling universes
+  // and one whose plan spans thousands of words, at sample rates from
+  // empty to full (0.5 is the dense benchmark workload's regime), for
+  // dense, full and sparse inputs.
+  std::uint64_t seed = 0;
+  for (const std::size_t n : {1, 63, 64, 65, 127, 129, 500, 1000, 200000}) {
+    for (const double rate : {0.0, 0.01, 0.35, 0.5, 1.0}) {
+      Rng rng(++seed);
+      const DynamicBitset sampled = rng.BernoulliSubset(n, rate);
+      const SubUniverse sub(sampled);
+      const DynamicBitset dense_set = rng.BernoulliSubset(n, 0.4);
+      const DynamicBitset full_set = DynamicBitset::Full(n);
+      const SparseSet sparse_set =
+          SparseSet::FromBitset(rng.BernoulliSubset(n, 0.02));
 
-    for (const SetView view : {SetView(dense_set), SetView(sparse_set)}) {
-      DynamicBitset expected(sub.size());
-      for (std::size_t i = 0; i < sub.size(); ++i) {
-        if (view.Test(sub.ToFull(i))) expected.Set(i);
+      for (const SetView view :
+           {SetView(dense_set), SetView(full_set), SetView(sparse_set)}) {
+        EXPECT_EQ(sub.Project(view), ReferenceProjection(sub, view))
+            << "n=" << n << " rate=" << rate;
       }
-      EXPECT_EQ(sub.Project(view), expected) << "n=" << n;
+      EXPECT_EQ(sub.Project(dense_set), sub.Project(SetView(dense_set)));
     }
-    EXPECT_EQ(sub.Project(dense_set), sub.Project(SetView(dense_set)));
   }
 }
 
@@ -131,6 +148,113 @@ TEST(SubUniverseTest, StoreProjectionRoundTripsThroughSetSystem) {
               SetView(sub.Project(SetView(dense_set))));
   // A sparse projection of a sparse set stays sparse in the store.
   EXPECT_TRUE(projections.IsSparse(sparse_id));
+}
+
+// The gather plan SubUniverse builds for \p sampled: one block per word
+// holding sampled bits, its destination the running sample count.
+std::vector<internal::GatherBlock> PlanOf(const DynamicBitset& sampled) {
+  std::vector<internal::GatherBlock> plan;
+  std::uint32_t dst_bit = 0;
+  for (std::size_t w = 0; w < sampled.WordCount(); ++w) {
+    const DynamicBitset::Word mask = sampled.GetWord(w);
+    if (mask == 0) continue;
+    plan.push_back({static_cast<std::uint32_t>(w), dst_bit, mask});
+    dst_bit += static_cast<std::uint32_t>(std::popcount(mask));
+  }
+  return plan;
+}
+
+// Definitional pext: the bits of `word` under `mask`, packed low.
+DynamicBitset::Word ReferenceExtract(DynamicBitset::Word word,
+                                     DynamicBitset::Word mask) {
+  DynamicBitset::Word out = 0;
+  int rank = 0;
+  for (int b = 0; b < 64; ++b) {
+    if (((mask >> b) & 1) == 0) continue;
+    out |= ((word >> b) & 1) << rank;
+    ++rank;
+  }
+  return out;
+}
+
+// (word, mask) pairs: 10^5 seeded ones of mixed mask density, after the
+// edge masks (empty, full, each single bit, alternating bits, top bit).
+std::vector<std::pair<DynamicBitset::Word, DynamicBitset::Word>>
+WordMaskPairs() {
+  using Word = DynamicBitset::Word;
+  std::vector<Word> edge_masks = {0, ~Word{0}, 0x5555555555555555ull,
+                                  0xaaaaaaaaaaaaaaaaull, Word{1} << 63,
+                                  (Word{1} << 63) | 1};
+  for (int b = 0; b < 64; ++b) edge_masks.push_back(Word{1} << b);
+  Rng rng(70);
+  std::vector<std::pair<Word, Word>> pairs;
+  for (const Word mask : edge_masks) {
+    for (const Word word : {Word{0}, ~Word{0}, rng.Next(), rng.Next()}) {
+      pairs.emplace_back(word, mask);
+    }
+  }
+  for (int i = 0; i < 100000; ++i) {
+    const Word word = rng.Next();
+    Word mask = rng.Next();
+    if (i % 3 == 1) mask &= rng.Next() & rng.Next();  // sparse mask
+    if (i % 3 == 2) mask |= rng.Next() | rng.Next();  // dense mask
+    pairs.emplace_back(word, mask);
+  }
+  return pairs;
+}
+
+// Runs \p gather over a one-block plan and returns the packed word.
+DynamicBitset::Word GatherOne(internal::GatherFn gather,
+                              DynamicBitset::Word word,
+                              DynamicBitset::Word mask) {
+  const internal::GatherBlock block{0, 0, mask};
+  DynamicBitset out(DynamicBitset::kBitsPerWord);
+  gather(std::span(&block, 1), &word, out);
+  return out.GetWord(0);
+}
+
+TEST(GatherTierTest, PortableMatchesReferenceOnWordMaskPairs) {
+  for (const auto& [word, mask] : WordMaskPairs()) {
+    ASSERT_EQ(GatherOne(&internal::GatherPortable, word, mask),
+              ReferenceExtract(word, mask))
+        << std::hex << "word=" << word << " mask=" << mask;
+  }
+}
+
+TEST(GatherTierTest, PextMatchesPortableOnWordMaskPairs) {
+  const internal::GatherFn pext = internal::PextGatherIfSupported();
+  if (pext == nullptr) GTEST_SKIP() << "no BMI2 pext on this host";
+  for (const auto& [word, mask] : WordMaskPairs()) {
+    ASSERT_EQ(GatherOne(pext, word, mask),
+              GatherOne(&internal::GatherPortable, word, mask))
+        << std::hex << "word=" << word << " mask=" << mask;
+  }
+}
+
+TEST(GatherTierTest, TiersAgreeOnWholePlans) {
+  // Whole plans exercise the destination offsets and the spill into the
+  // next output word, which one-block plans at bit 0 never reach.
+  const internal::GatherFn pext = internal::PextGatherIfSupported();
+  for (std::uint64_t seed = 0; seed < 40; ++seed) {
+    Rng rng(80 + seed);
+    const std::size_t n = 1 + rng.UniformInt(5000);
+    const DynamicBitset sampled =
+        rng.BernoulliSubset(n, rng.UniformDouble());
+    const std::vector<internal::GatherBlock> plan = PlanOf(sampled);
+    const SubUniverse sub(sampled);
+    const DynamicBitset set = rng.BernoulliSubset(n, rng.UniformDouble());
+    const DynamicBitset expected = ReferenceProjection(sub, SetView(set));
+
+    DynamicBitset portable(sub.size());
+    internal::GatherPortable(plan, set.WordData(), portable);
+    EXPECT_EQ(portable, expected) << "seed=" << seed;
+    if (pext != nullptr) {
+      DynamicBitset hardware(sub.size());
+      pext(plan, set.WordData(), hardware);
+      EXPECT_EQ(hardware, expected) << "seed=" << seed;
+    }
+  }
+  if (pext == nullptr) GTEST_SKIP() << "no BMI2 pext on this host";
 }
 
 TEST(SamplingTest, SampleElementsSubsetOfUniverse) {

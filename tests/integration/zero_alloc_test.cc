@@ -11,6 +11,11 @@
 // global operator new/delete with counting forwarders, so allocations on
 // every thread (workers included) are visible while armed.
 //
+// Each run must also hand back every byte it took from the calling
+// thread's scratch and table arenas: the interposer alone cannot see a
+// leak that still fits inside an arena chunk already reserved, so the
+// test compares bytes_used() before and after every run.
+//
 // Sequentially the run is deterministic, so the assertion is strict: the
 // second run must allocate nothing. With a worker pool, index claiming is
 // dynamic — which worker's scratch/table arena serves an item varies run
@@ -114,10 +119,19 @@ void ExpectZeroAllocSteadyState(const SetSystem& system,
   ArenaVector<SetId> first_chosen;
   for (int run = 0; run < max_runs; ++run) {
     arena.Reset();
+    const std::size_t scratch_before = ThreadScratchArena().bytes_used();
+    const std::size_t table_before = ThreadTableArena().bytes_used();
     testing::ArmAllocCounter();
     const Status status = any.RunInto(stream, context, &report);
     const testing::AllocCounterStats stats = testing::DisarmAllocCounter();
     ASSERT_TRUE(status.ok()) << status.message();
+    // Every byte a run stages in the calling thread's scratch and table
+    // arenas is rewound before it returns; anything left over would pile
+    // up run after run in a long-lived session.
+    EXPECT_EQ(ThreadScratchArena().bytes_used(), scratch_before)
+        << "run " << run << " left bytes in the scratch arena";
+    EXPECT_EQ(ThreadTableArena().bytes_used(), table_before)
+        << "run " << run << " left bytes in the table arena";
     if (run == 0) {
       first_chosen = report.solution.chosen;
       continue;

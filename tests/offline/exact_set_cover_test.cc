@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "instance/generators.h"
 #include "offline/greedy.h"
 #include "util/random.h"
@@ -145,6 +148,71 @@ TEST(ExactSetCoverTest, ReportsNodeCount) {
   system.AddSetFromIndices({0, 1, 2, 3});
   const ExactSetCoverResult result = SolveExactSetCover(system);
   EXPECT_GE(result.nodes, 1u);
+}
+
+// A planted cover with `extra` random decoy sets of the given density:
+// the decoys make greedy miss and push the search several levels deep.
+SetSystem PlantedWithDecoys(std::size_t n, std::size_t planted_sets,
+                            std::size_t opt, std::size_t extra,
+                            double density, std::uint64_t seed) {
+  Rng rng(seed);
+  SetSystem system = PlantedCoverInstance(n, planted_sets, opt, rng);
+  for (std::size_t d = 0; d < extra; ++d) {
+    std::vector<ElementId> members;
+    for (ElementId e = 0; e < n; ++e) {
+      if (rng.Bernoulli(density)) members.push_back(e);
+    }
+    system.AddSetFromIndices(members);
+  }
+  return system;
+}
+
+struct PinnedSearch {
+  std::size_t n, planted_sets, opt, extra;
+  double density;
+  std::uint64_t seed;
+  std::size_t size_limit;
+  std::uint64_t max_nodes;
+  std::uint64_t nodes;
+  std::vector<SetId> chosen;
+};
+
+// The search's node count and chosen sets are part of its contract: a
+// speed-up of the per-node work (gain scan, transposition key) must not
+// change which nodes are expanded or in which order. Every row but the
+// first two revisits a state through the transposition table; the last
+// two stop at the node budget.
+TEST(ExactSetCoverTest, NodeCountsAndChoicesArePinned) {
+  constexpr std::size_t kNoLimit = ~std::size_t{0};
+  constexpr std::uint64_t kNoBudget = 50'000'000;
+  const std::vector<PinnedSearch> pinned = {
+      {64, 12, 4, 30, 0.20, 1, kNoLimit, kNoBudget, 39, {2, 1, 0, 3}},
+      {96, 16, 6, 40, 0.15, 2, 5, kNoBudget, 13, {}},
+      {96, 16, 6, 40, 0.15, 4, kNoLimit, kNoBudget, 308, {1, 5, 0, 2, 3, 4}},
+      {128, 20, 8, 60, 0.12, 1, kNoLimit, kNoBudget, 2074,
+       {3, 7, 1, 5, 2, 4, 0, 6}},
+      {80, 10, 5, 50, 0.25, 2, kNoLimit, kNoBudget, 2607, {0, 4, 2, 3, 1}},
+      {80, 10, 5, 50, 0.25, 2, 4, kNoBudget, 81, {}},
+      {128, 20, 8, 60, 0.12, 5, kNoLimit, kNoBudget, 10147,
+       {1, 0, 6, 7, 4, 5, 3, 2}},
+      {80, 10, 5, 50, 0.25, 2, kNoLimit, 500, 501,
+       {51, 39, 30, 38, 57, 5, 36}},
+      {128, 20, 8, 60, 0.12, 5, kNoLimit, 500, 501,
+       {38, 39, 50, 40, 20, 5, 4, 7, 70, 23, 9, 2, 3, 14}},
+  };
+  for (const PinnedSearch& p : pinned) {
+    SCOPED_TRACE("n=" + std::to_string(p.n) + " seed=" +
+                 std::to_string(p.seed) + " nodes=" + std::to_string(p.nodes));
+    const SetSystem system = PlantedWithDecoys(p.n, p.planted_sets, p.opt,
+                                               p.extra, p.density, p.seed);
+    ExactSetCoverOptions options;
+    options.size_limit = p.size_limit;
+    options.max_nodes = p.max_nodes;
+    const ExactSetCoverResult result = SolveExactSetCover(system, options);
+    EXPECT_EQ(result.nodes, p.nodes);
+    EXPECT_EQ(result.solution.chosen, p.chosen);
+    EXPECT_EQ(result.complete, p.nodes <= p.max_nodes);
+  }
 }
 
 // Exhaustive cross-check against brute force on random tiny instances.
