@@ -12,9 +12,11 @@
 //             code path: one Test per sampled element) and dense scans;
 //   hybrid    SetSystem's density-thresholded storage, word-gather /
 //             O(k) projection, SetView scans;
-//   parallel  hybrid + ParallelPassEngine thread sweep, verifying the
-//             determinism contract (byte-identical results for 1, 2, and
-//             8 threads).
+//   parallel  hybrid + a thread sweep of the EngineContext passes the
+//             solvers run (ThresholdPass, then a projecting TransformPass
+//             into a SetSystem), sharded over a ParallelPassEngine and
+//             verifying the determinism contract (byte-identical results
+//             for 1, 2, and 8 threads).
 //
 // Acceptance: hybrid >= 5x over baseline on projection+scan combined for
 // density <= 1%, and identical bytes across the thread sweep.
@@ -32,6 +34,7 @@
 #include "bench_common.h"
 #include "core/sampling.h"
 #include "instance/set_system.h"
+#include "stream/engine_context.h"
 #include "stream/parallel_pass_engine.h"
 #include "stream/set_stream.h"
 #include "util/random.h"
@@ -77,7 +80,7 @@ std::uint64_t HashBitset(const DynamicBitset& bs) { return bs.Hash(); }
 
 std::uint64_t HashRun(const std::vector<SetId>& taken,
                       const DynamicBitset& uncovered,
-                      const std::vector<ProjectedSet>& projections) {
+                      const SetSystem& projections) {
   std::uint64_t h = 1469598103934665603ull;
   const auto mix = [&h](std::uint64_t v) {
     h ^= v;
@@ -86,8 +89,10 @@ std::uint64_t HashRun(const std::vector<SetId>& taken,
   for (SetId id : taken) mix(id);
   mix(HashBitset(uncovered));
   // Hash the dense materialization so the value depends only on content,
-  // not on which representation ProjectAll chose.
-  for (const auto& p : projections) mix(HashBitset(ViewOf(p).ToDense()));
+  // not on which representation each projection is stored in.
+  for (SetId id = 0; id < projections.num_sets(); ++id) {
+    mix(HashBitset(projections.set(id).ToDense()));
+  }
   return h;
 }
 
@@ -191,7 +196,7 @@ int main(int argc, char** argv) {
             view.AndNotInto(uncovered);
           }
         }
-        hash = HashRun(taken, uncovered, {});
+        hash = HashRun(taken, uncovered, SetSystem());
       });
       return hash;
     };
@@ -240,18 +245,28 @@ int main(int argc, char** argv) {
                                       std::size_t{8}}) {
       ParallelPassEngine engine(threads);
       VectorSetStream stream(hybrid);
+      RequireSharded(stream, &engine);
+      EngineContext ctx(stream, &engine);
 
       Stopwatch timer;
-      std::vector<StreamItem> items = DrainPass(stream);
       DynamicBitset uncovered = DynamicBitset::Full(n);
       std::vector<SetId> taken;
-      ThresholdScan(items, threshold, uncovered, &engine,
-                    [&taken](SetId id) { taken.push_back(id); });
+      ctx.ThresholdPass(threshold, uncovered,
+                        [&taken](SetId id) { taken.push_back(id); });
       const double scan_ms = timer.ElapsedMillis();
 
+      // Workers project into their scratch; the commit re-homes each
+      // projection into the system, as the sampling solvers do.
       timer.Restart();
-      const std::vector<ProjectedSet> projections =
-          ProjectAll(sub, items, &engine);
+      SetSystem projections(sub.size());
+      ctx.TransformPass<ProjectedSet>(
+          [&sub](const StreamItem& item) {
+            return sub.ProjectAdaptive(item.set,
+                                       ArenaAllocator<ElementId>::Scratch());
+          },
+          [&projections](const StreamItem&, ProjectedSet projection) {
+            StoreProjection(projections, std::move(projection));
+          });
       const double project_ms = timer.ElapsedMillis();
 
       const std::uint64_t hash = HashRun(taken, uncovered, projections);

@@ -41,6 +41,12 @@ chrono        No direct `std::chrono` (or `#include <chrono>`) in src/
               (TraceRecorder::NowNs). A direct clock read bypasses the
               trace/export pipeline and scatters clock choices
               (steady vs system) across layers.
+counter-name  No `CounterId::Counter("engine.` literal in src/ outside
+              stream/engine_context.cc: the engine.* counters are interned
+              there once, and every reader goes through the
+              engine_counters:: handles (stream/engine_context.h). A
+              second spelling of a name can drift from the first without
+              any compiler noticing.
 
 Usage
 -----
@@ -97,6 +103,13 @@ CHRONO_RE = re.compile(r"std\s*::\s*chrono")
 # Layers that may touch std::chrono directly: util/ owns Stopwatch, obs/
 # owns TraceRecorder's clock. Everything else must time through those.
 CHRONO_EXEMPT_LAYERS = {"util", "obs"}
+
+# The engine.* counter names are interned in exactly one file. The
+# stripper blanks string contents, so the name is matched on the raw line
+# and the call confirmed on the stripped one (which rules out comments).
+ENGINE_COUNTER_RE = re.compile(r'CounterId\s*::\s*Counter\s*\(\s*"engine\.')
+COUNTER_CALL_RE = re.compile(r'CounterId\s*::\s*Counter\s*\(\s*"')
+ENGINE_COUNTER_HOME = pathlib.Path("stream/engine_context.cc")
 
 
 def transitive_closure(deps: dict[str, set[str]]) -> dict[str, set[str]]:
@@ -177,8 +190,8 @@ class Violation:
         return f"{self.path}:{self.line}: [{self.rule}] {self.msg}"
 
 
-def lint_file(path: pathlib.Path, layer: str,
-              rel: pathlib.Path) -> list[Violation]:
+def lint_file(path: pathlib.Path, layer: str, rel: pathlib.Path,
+              counter_home: bool) -> list[Violation]:
     violations: list[Violation] = []
     try:
         raw = path.read_text(encoding="utf-8", errors="replace").split("\n")
@@ -238,6 +251,13 @@ def lint_file(path: pathlib.Path, layer: str,
                 "util/stopwatch.h (Stopwatch) or obs/trace.h "
                 "(TraceRecorder::NowNs) so clock choice and trace export "
                 "stay centralized"))
+        if (not counter_home and COUNTER_CALL_RE.search(line)
+                and ENGINE_COUNTER_RE.search(raw[lineno - 1])):
+            violations.append(Violation(
+                rel, lineno, "counter-name",
+                'CounterId::Counter("engine. outside '
+                "stream/engine_context.cc — read the engine.* counters "
+                "through the engine_counters:: handles"))
     return violations
 
 
@@ -254,7 +274,8 @@ def lint_tree(root: pathlib.Path) -> list[Violation]:
         rel = path.relative_to(root)
         parts = path.relative_to(src).parts
         layer = parts[0] if len(parts) > 1 else ""
-        violations.extend(lint_file(path, layer, rel))
+        counter_home = path.relative_to(src) == ENGINE_COUNTER_HOME
+        violations.extend(lint_file(path, layer, rel, counter_home))
     return violations
 
 
@@ -271,7 +292,7 @@ def main() -> int:
 
     if args.list_rules:
         for rule in ("layer-dag", "raw-assert", "determinism", "engine-ptr",
-                     "arena-ptr", "chrono"):
+                     "arena-ptr", "chrono", "counter-name"):
             print(rule)
         return 0
 

@@ -7,7 +7,6 @@
 
 #include "instance/set_system.h"
 #include "obs/counters.h"
-#include "stream/engine_context.h"
 #include "util/space_meter.h"
 
 /// \file solve_report.h
@@ -57,7 +56,6 @@ struct SolveReport {
   bool feasible = false;   ///< Family-specific success bit (see SolverKind).
   std::uint64_t passes = 0;        ///< Stream passes consumed.
   Bytes peak_space_bytes = 0;      ///< Peak logical space (SpaceMeter).
-  EnginePassStats stats;           ///< Deterministic engine counters.
   std::uint64_t extra = 0;         ///< Family-specific scalar (coverage /
                                    ///< surviving candidates); 0 for set
                                    ///< cover.
@@ -84,9 +82,9 @@ struct SolveReport {
                                        ///< surviving prefix (warm runs).
 
   /// Full interned-counter snapshot of the run (obs/counters.h): the
-  /// engine.* counters the solver accumulated plus session-stamped arena
-  /// gauges. Supersedes the scalar `stats` view for anything that wants
-  /// every counter, not just the well-known ones.
+  /// engine.* counters the solver accumulated (read them through the
+  /// engine_counters:: handles in stream/engine_context.h) plus
+  /// session-stamped arena and dynamic.* gauges.
   CounterSet counters;
 
   /// Per-pass timing/counter breakdown, in pass order. Filled only when

@@ -398,6 +398,7 @@ StatusOr<SolveReport> SolveSession::RunWarmStart(
       stream_->universe_size(), ctx.alloc<DynamicBitset::Word>());
   Solution solution(context.arena);
   solution.chosen.assign(prefix.begin(), prefix.end());
+  ctx.RecordTakes(prefix.size(), 0);
   ctx.SubtractPass(std::span<const SetId>(prefix), uncovered);
   const std::uint64_t residue = uncovered.CountSet();
   if (!uncovered.None()) {
@@ -414,7 +415,6 @@ StatusOr<SolveReport> SolveSession::RunWarmStart(
   report.peak_space_bytes =
       uncovered.ByteSize() + solution.chosen.size() * sizeof(SetId);
   report.solution = std::move(solution);
-  report.stats = ctx.stats();
   report.counters.MergeFrom(ctx.counters());
   report.warm_start = true;
   report.surviving_prefix = prefix.size();

@@ -33,22 +33,15 @@ void FillBase(const std::string& solver, SolverKind kind,
   report->algorithm = algorithm;
   report->feasible = false;
   report->extra = 0;
-  report->stats = {};
   report->counters.Clear();
   report->pass_breakdown.clear();
 }
 
 // The one mapping from the per-family StreamRunStats shape to the
-// uniform report — both stream-algorithm families fill through here so a
-// new deterministic counter cannot be wired up for one family and
-// silently zeroed for the other.
+// uniform report; both stream-algorithm families fill through here.
 void FillFromRunStats(const StreamRunStats& stats, SolveReport* report) {
   report->passes = stats.passes;
   report->peak_space_bytes = stats.peak_space_bytes;
-  report->stats.passes = stats.passes;
-  report->stats.items_scanned = stats.items_seen;
-  report->stats.sets_taken = stats.sets_taken;
-  report->stats.elements_covered = stats.elements_covered;
   report->wall_seconds = stats.wall_seconds;
   report->counters = stats.counters;
 }
@@ -162,7 +155,6 @@ class PairFinderAnySolver : public AnySolver {
     report->feasible = r.found;
     report->passes = r.passes;
     report->peak_space_bytes = r.peak_space_bytes;
-    report->stats = r.engine_stats;
     report->counters = r.counters;
     report->extra = r.candidates_after_first_pass;
     report->wall_seconds = timer.ElapsedSeconds();

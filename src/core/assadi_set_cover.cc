@@ -212,7 +212,6 @@ AssadiGuessResult AssadiSetCover::RunWithGuess(SetStream& stream,
       result.feasible && static_cast<double>(result.solution.size()) <= budget;
   result.passes = stream.passes() - passes_before;
   result.peak_space_bytes = meter.peak();
-  result.engine_stats = ctx.stats();
   result.counters = ctx.counters();
   return result;
 }
@@ -226,15 +225,12 @@ SetCoverRunResult AssadiSetCover::Run(SetStream& stream,
 
   SetCoverRunResult out;
   Bytes peak = 0;
-  EnginePassStats totals;
 
   auto try_guess = [&](std::size_t guess) -> bool {
     TraceSpan guess_span(context.trace, TraceCategory::kPhase, "guess");
     guess_span.AddArg("opt_guess", guess);
     AssadiGuessResult r = RunWithGuess(stream, guess, rng, context);
     peak = std::max(peak, r.peak_space_bytes);
-    totals.sets_taken += r.engine_stats.sets_taken;
-    totals.elements_covered += r.engine_stats.elements_covered;
     out.stats.counters.MergeFrom(r.counters);
     if (r.feasible && r.within_budget) {
       // Keep the smallest solution across successful guesses.
@@ -266,9 +262,6 @@ SetCoverRunResult AssadiSetCover::Run(SetStream& stream,
 
   out.stats.passes = stream.passes() - passes_before;
   out.stats.peak_space_bytes = peak;
-  out.stats.items_seen = out.stats.passes * stream.num_sets();
-  out.stats.sets_taken = totals.sets_taken;
-  out.stats.elements_covered = totals.elements_covered;
   out.stats.wall_seconds = timer.ElapsedSeconds();
   return out;
 }

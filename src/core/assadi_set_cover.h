@@ -4,7 +4,7 @@
 #include <cstdint>
 #include <string>
 
-#include "stream/engine_context.h"
+#include "obs/counters.h"
 #include "stream/stream_algorithm.h"
 #include "util/random.h"
 
@@ -59,7 +59,6 @@ struct AssadiGuessResult {
   std::uint64_t passes = 0;
   Bytes peak_space_bytes = 0;
   std::uint64_t residual_after_iterations = 0;  ///< |U| left before cleanup.
-  EnginePassStats engine_stats;  ///< Deterministic per-guess pass counters.
   CounterSet counters;           ///< Full per-guess counter snapshot.
 };
 

@@ -134,9 +134,6 @@ SetCoverRunResult DemaineSetCover::RunWithGuess(
   result.feasible = uncovered.None();
   result.stats.passes = stream.passes() - passes_before;
   result.stats.peak_space_bytes = meter.peak();
-  result.stats.items_seen = result.stats.passes * m;
-  result.stats.sets_taken = ctx.stats().sets_taken;
-  result.stats.elements_covered = ctx.stats().elements_covered;
   result.stats.wall_seconds = timer.ElapsedSeconds();
   result.stats.counters = ctx.counters();
   return result;
@@ -149,15 +146,12 @@ SetCoverRunResult DemaineSetCover::Run(SetStream& stream,
   const std::uint64_t passes_before = stream.passes();
   SetCoverRunResult out;
   Bytes peak = 0;
-  EnginePassStats totals;
 
   auto try_guess = [&](std::size_t guess) {
     TraceSpan guess_span(context.trace, TraceCategory::kPhase, "guess");
     guess_span.AddArg("opt_guess", guess);
     SetCoverRunResult r = RunWithGuess(stream, guess, rng, context);
     peak = std::max(peak, r.stats.peak_space_bytes);
-    totals.sets_taken += r.stats.sets_taken;
-    totals.elements_covered += r.stats.elements_covered;
     out.stats.counters.MergeFrom(r.stats.counters);
     const double budget = static_cast<double>(config_.alpha) *
                           static_cast<double>(guess);
@@ -186,9 +180,6 @@ SetCoverRunResult DemaineSetCover::Run(SetStream& stream,
 
   out.stats.passes = stream.passes() - passes_before;
   out.stats.peak_space_bytes = peak;
-  out.stats.items_seen = out.stats.passes * stream.num_sets();
-  out.stats.sets_taken = totals.sets_taken;
-  out.stats.elements_covered = totals.elements_covered;
   out.stats.wall_seconds = timer.ElapsedSeconds();
   return out;
 }

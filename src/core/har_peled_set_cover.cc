@@ -160,9 +160,6 @@ SetCoverRunResult HarPeledSetCover::RunWithGuess(
   result.feasible = guess_ok && uncovered.None();
   result.stats.passes = stream.passes() - passes_before;
   result.stats.peak_space_bytes = meter.peak();
-  result.stats.items_seen = result.stats.passes * m;
-  result.stats.sets_taken = ctx.stats().sets_taken;
-  result.stats.elements_covered = ctx.stats().elements_covered;
   result.stats.wall_seconds = timer.ElapsedSeconds();
   result.stats.counters = ctx.counters();
   return result;
@@ -175,15 +172,12 @@ SetCoverRunResult HarPeledSetCover::Run(SetStream& stream,
   const std::uint64_t passes_before = stream.passes();
   SetCoverRunResult out;
   Bytes peak = 0;
-  EnginePassStats totals;
 
   auto try_guess = [&](std::size_t guess) {
     TraceSpan guess_span(context.trace, TraceCategory::kPhase, "guess");
     guess_span.AddArg("opt_guess", guess);
     SetCoverRunResult r = RunWithGuess(stream, guess, rng, context);
     peak = std::max(peak, r.stats.peak_space_bytes);
-    totals.sets_taken += r.stats.sets_taken;
-    totals.elements_covered += r.stats.elements_covered;
     out.stats.counters.MergeFrom(r.stats.counters);
     const double budget = (static_cast<double>(config_.alpha) + 1.0) *
                           static_cast<double>(guess);
@@ -212,9 +206,6 @@ SetCoverRunResult HarPeledSetCover::Run(SetStream& stream,
 
   out.stats.passes = stream.passes() - passes_before;
   out.stats.peak_space_bytes = peak;
-  out.stats.items_seen = out.stats.passes * stream.num_sets();
-  out.stats.sets_taken = totals.sets_taken;
-  out.stats.elements_covered = totals.elements_covered;
   out.stats.wall_seconds = timer.ElapsedSeconds();
   return out;
 }

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "obs/trace.h"
+#include "stream/engine_context.h"
 #include "util/arena.h"
 #include "util/check.h"
 #include "util/space_meter.h"
@@ -189,7 +190,6 @@ PairFinderResult ExactPairFinder::Run(SetStream& stream,
   }
   result.passes = stream.passes() - passes_before;
   result.peak_space_bytes = meter.peak();
-  result.engine_stats = ctx.stats();
   result.counters = ctx.counters();
   return result;
 }

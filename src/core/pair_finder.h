@@ -4,7 +4,7 @@
 #include <cstdint>
 #include <string>
 
-#include "stream/engine_context.h"
+#include "obs/counters.h"
 #include "stream/stream_algorithm.h"
 
 /// \file pair_finder.h
@@ -41,8 +41,7 @@ struct PairFinderResult {
   std::uint64_t passes = 0;
   Bytes peak_space_bytes = 0;
   std::uint64_t candidates_after_first_pass = 0;
-  EnginePassStats engine_stats;  ///< Deterministic pass counters.
-  CounterSet counters;           ///< Full interned-counter snapshot.
+  CounterSet counters;        ///< Full interned-counter snapshot.
 };
 
 /// Finds a 2-set cover exactly in `config.passes` passes.

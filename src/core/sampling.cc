@@ -4,7 +4,6 @@
 #include <bit>
 #include <span>
 
-#include "stream/parallel_pass_engine.h"
 #include "util/check.h"
 
 namespace streamsc {
@@ -179,22 +178,6 @@ DynamicBitset SampleElements(const DynamicBitset& universe, double rate,
                              Rng& rng, DynamicBitset::Allocator alloc) {
   // Rng::BernoulliSubsample owns the documented [0,1]/NaN clamp.
   return rng.BernoulliSubsample(universe, rate, alloc);
-}
-
-std::vector<ProjectedSet> ProjectAll(const SubUniverse& sub,
-                                     const std::vector<StreamItem>& items,
-                                     ParallelPassEngine* pool) {
-  std::vector<ProjectedSet> out(items.size());
-  if (pool == nullptr || pool->num_threads() <= 1) {
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      out[i] = sub.ProjectAdaptive(items[i].set);
-    }
-    return out;
-  }
-  pool->ParallelFor(items.size(), [&](std::size_t i) {
-    out[i] = sub.ProjectAdaptive(items[i].set);
-  });
-  return out;
 }
 
 }  // namespace streamsc

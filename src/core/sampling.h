@@ -4,10 +4,8 @@
 #include <cstdint>
 #include <span>
 #include <variant>
-#include <vector>
 
 #include "instance/set_system.h"
-#include "stream/set_stream.h"
 #include "util/arena.h"
 #include "util/bitset.h"
 #include "util/random.h"
@@ -34,8 +32,6 @@
 /// produce the same bits; no option or build flag selects between them.
 
 namespace streamsc {
-
-class ParallelPassEngine;
 
 namespace internal {
 
@@ -148,16 +144,6 @@ class SubUniverse {
 /// whole \p universe. The result is allocated from \p alloc.
 DynamicBitset SampleElements(const DynamicBitset& universe, double rate,
                              Rng& rng, DynamicBitset::Allocator alloc = {});
-
-/// Projects every buffered item onto \p sub (via ProjectAdaptive, so each
-/// projection keeps its source's representation); out[i] corresponds to
-/// items[i]. With a pool the projections are computed in parallel — each
-/// item's output slot is fixed by its stream position, so the result is
-/// bit-identical for any thread count. Pass pool == nullptr for the
-/// sequential path.
-std::vector<ProjectedSet> ProjectAll(const SubUniverse& sub,
-                                     const std::vector<StreamItem>& items,
-                                     ParallelPassEngine* pool);
 
 }  // namespace streamsc
 

@@ -67,9 +67,6 @@ SetCoverRunResult ThresholdGreedySetCover::Run(SetStream& stream,
   result.feasible = uncovered.None();
   result.stats.passes = stream.passes() - passes_before;
   result.stats.peak_space_bytes = meter.peak();
-  result.stats.items_seen = result.stats.passes * stream.num_sets();
-  result.stats.sets_taken = ctx.stats().sets_taken;
-  result.stats.elements_covered = ctx.stats().elements_covered;
   result.stats.wall_seconds = timer.ElapsedSeconds();
   result.stats.counters = ctx.counters();
   return result;

@@ -23,7 +23,7 @@
 ///   * a pass costs zero parsing — BeginPass() is a cursor reset, and a
 ///     set's bytes are only touched when the algorithm reads them;
 ///   * ItemsRemainValid() is true — views stay valid for the stream's
-///     whole lifetime, so DrainPass / ParallelPassEngine can buffer and
+///     whole lifetime, so DrainPassInto / ParallelPassEngine can buffer and
 ///     shard a disk-resident pass across workers;
 ///   * resident memory is one SetView per set, built once at
 ///     validation, plus whatever pages the OS keeps warm — never O(mn),
@@ -60,7 +60,7 @@ class MmapSetStream : public SetStream {
   bool Next(StreamItem* item) override;
   std::uint64_t passes() const override { return passes_; }
   /// Views borrow the mapping, which lives as long as the stream: a
-  /// buffered pass (DrainPass / ParallelPassEngine) is safe.
+  /// buffered pass (DrainPassInto / ParallelPassEngine) is safe.
   bool ItemsRemainValid() const override { return true; }
 
   /// Random access to the \p id-th set (the index makes this O(1) — a

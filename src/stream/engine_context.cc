@@ -67,7 +67,7 @@ void EngineContext::GainScanPassNamed(
     FunctionRef<void(const StreamItem&, Count, bool)> visit) {
   const PassScope scope(*this, name);
   BeginCountedPass();
-  if (!sharded_) {
+  if (!sharded_ || engine_->num_threads() <= 1 || stream_.num_sets() < 2) {
     stream_.BeginPass();
     StreamItem item;
     while (stream_.Next(&item) && !uncovered.None()) {
@@ -76,20 +76,52 @@ void EngineContext::GainScanPassNamed(
     }
     return;
   }
-  // One copy of the chunked snapshot-filter + in-order-commit logic lives
-  // in GainFilteredScan (shared with the free-standing ThresholdScan).
+
+  // Chunked parallel filter + in-order commit. The chunk size only
+  // affects how stale the snapshot bounds are, never the outcome: bounds
+  // only shrink as earlier commits subtract from `uncovered`, so a zero
+  // bound is a proof of zero current gain, and survivors are handed to
+  // visit in stream order against the live state. The bound buffer lives
+  // in this thread's scratch for the duration of the pass.
   DrainPassInto(stream_, items_);
-  GainFilteredScan(items_, uncovered, engine_, visit, trace_);
+  const std::size_t chunk = std::max<std::size_t>(
+      64, items_.size() / (8 * engine_->num_threads()));
+  MonotonicArena& scratch = ThreadScratchArena();
+  const ArenaCheckpoint checkpoint(scratch);
+  Count* const bounds = scratch.Allocate<Count>(chunk);
+  for (std::size_t pos = 0; pos < items_.size(); pos += chunk) {
+    if (uncovered.None()) return;
+    const std::size_t width = std::min(chunk, items_.size() - pos);
+    engine_->ParallelFor(
+        width,
+        [&](std::size_t k) {
+          bounds[k] = items_[pos + k].set.CountAnd(uncovered);
+        },
+        trace_);
+    for (std::size_t k = 0; k < width; ++k) {
+      if (bounds[k] > 0) {
+        visit(items_[pos + k], bounds[k], /*bound_is_exact=*/false);
+      }
+    }
+  }
 }
 
 void EngineContext::ThresholdPass(double threshold, DynamicBitset& uncovered,
                                   FunctionRef<void(SetId)> on_take) {
-  const auto take = [&](SetId id, Count gain) {
-    on_take(id);
-    RecordTake(gain);
+  // A below-threshold bound is a proof of ineligibility (gains only
+  // shrink); survivors are re-evaluated against the live `uncovered`, in
+  // order, and taken when still eligible.
+  const auto visit = [&](const StreamItem& item, Count bound,
+                         bool bound_is_exact) {
+    if (static_cast<double>(bound) < threshold) return;
+    const Count gain = bound_is_exact ? bound : item.set.CountAnd(uncovered);
+    if (gain > 0 && static_cast<double>(gain) >= threshold) {
+      on_take(item.id);
+      RecordTake(gain);
+      item.set.AndNotInto(uncovered);
+    }
   };
-  const ThresholdTakeVisitor visitor(threshold, uncovered, take);
-  GainScanPassNamed("threshold", uncovered, visitor);
+  GainScanPassNamed("threshold", uncovered, visit);
 }
 
 void EngineContext::IndependentScanPass(

@@ -18,20 +18,20 @@
 
 /// \file engine_context.h
 /// EngineContext: the shared plumbing between a streaming solver and the
-/// ParallelPassEngine. Before it existed, every solver that wanted sharded
-/// passes hand-rolled the same four lines — "do I have an engine, can this
-/// stream buffer a pass, DrainPass or BeginPass/Next, ThresholdScan or the
-/// sequential loop" — so only the two solvers whose authors bothered
-/// (Assadi, threshold-greedy) ever ran in parallel. EngineContext owns
-/// that decision once, exposes the pass shapes every solver in core/ is
-/// built from, and counts the work it drives so runs can be compared
-/// across thread counts and stream sources.
+/// ParallelPassEngine. It decides once per run whether passes shard (an
+/// engine is bound and the stream can buffer a pass), exposes the pass
+/// shapes every solver in core/ is built from, and counts the work it
+/// drives in an interned CounterSet so runs can be compared across thread
+/// counts and stream sources.
 ///
-/// Determinism contract (inherited from parallel_pass_engine.h and
-/// preserved by every primitive here): for a fixed stream order, results
-/// are **bit-identical** whether the context runs sequentially (null
-/// engine, or a stream that cannot buffer a pass) or sharded over any
-/// number of threads — and whether or not a run arena is bound.
+/// Determinism contract: for a fixed stream order, every primitive here
+/// gives **bit-identical** results whether the context runs sequentially
+/// (null engine, or a stream that cannot buffer a pass) or sharded over
+/// any number of threads — and whether or not a run arena is bound.
+/// Parallelism is used only where item work is independent (transforms,
+/// lanes) or where a parallel phase is provably equivalent to the
+/// sequential loop (the gain scan's monotone snapshot filter + in-order
+/// commit). No result ever depends on thread scheduling.
 ///
 /// Allocation contract: a context bound to a RunContext with an arena
 /// reaches the zero-allocation steady state — the pass item buffer lives
@@ -44,28 +44,14 @@
 
 namespace streamsc {
 
-/// Deterministic counters of the work a context drove. Every field is part
-/// of the bit-identical contract: for a fixed stream order the values are
-/// the same for any thread count and any stream source (unlike wall time
-/// or peak RSS). The conformance matrix asserts exactly that.
-///
-/// Since the observability layer landed this is a *view*: the context
-/// accumulates everything in an interned CounterSet (obs/counters.h) and
-/// stats() assembles this struct from the well-known engine.* ids below.
-struct EnginePassStats {
-  std::uint64_t passes = 0;            ///< Stream passes driven.
-  std::uint64_t items_scanned = 0;     ///< Logical items: num_sets per pass.
-  std::uint64_t sets_taken = 0;        ///< Committed takes (incl. recorded
-                                       ///< offline sub-solver picks).
-  std::uint64_t elements_covered = 0;  ///< Sum of committed marginal gains.
-};
-
-/// The well-known interned counters every EngineContext accumulates.
-/// Handles are function-local statics: the first call interns, later
-/// calls are one guarded load. The first four are deterministic (part of
-/// the bit-identical contract); the shard pair describes how work was
-/// dispatched and therefore varies with engine width — deterministic for
-/// a fixed width, but not comparable across widths.
+/// The well-known interned counters every EngineContext accumulates, and
+/// the one way to read them: `counters.value(engine_counters::X())` on a
+/// context, a StreamRunStats or a SolveReport. Handles are function-local
+/// statics: the first call interns, later calls are one guarded load. The
+/// first four are deterministic (part of the bit-identical contract); the
+/// shard pair describes how work was dispatched and therefore varies with
+/// engine width — deterministic for a fixed width, but not comparable
+/// across widths.
 namespace engine_counters {
 CounterId Passes();           ///< "engine.passes"
 CounterId ItemsScanned();     ///< "engine.items_scanned"
@@ -139,18 +125,6 @@ class EngineContext {
   /// `TraceSpan span(ctx.trace(), TraceCategory::kPhase, "sample");`.
   TraceRecorder* trace() const { return trace_; }
 
-  /// The deterministic counters accumulated so far, assembled from the
-  /// interned counter set (a snapshot, not a reference).
-  EnginePassStats stats() const {
-    EnginePassStats snapshot;
-    snapshot.passes = counters_.value(engine_counters::Passes());
-    snapshot.items_scanned = counters_.value(engine_counters::ItemsScanned());
-    snapshot.sets_taken = counters_.value(engine_counters::SetsTaken());
-    snapshot.elements_covered =
-        counters_.value(engine_counters::ElementsCovered());
-    return snapshot;
-  }
-
   /// The full interned counter set (engine.* plus anything the solver
   /// adds under its own ids). Mutable access so solvers can record
   /// algorithm-specific counters next to the engine's.
@@ -185,8 +159,9 @@ class EngineContext {
   /// pass. Calls visit(item, gain_bound, bound_is_exact) in stream order
   /// for every item whose bound is positive, where
   ///
-  ///   * sequential: gain_bound == |item.set & uncovered| at the item's
-  ///     turn (bound_is_exact == true);
+  ///   * sequential (unsharded, or an engine of one thread): gain_bound
+  ///     == |item.set & uncovered| at the item's turn (bound_is_exact ==
+  ///     true);
   ///   * sharded: gain_bound is the gain against a chunk-start snapshot
   ///     of `uncovered` (bound_is_exact == false). Because `uncovered`
   ///     only shrinks within a pass, the bound never underestimates:

@@ -144,18 +144,6 @@ void ParallelPassEngine::ParallelFor(std::size_t count,
   }
 }
 
-std::vector<StreamItem> DrainPass(SetStream& stream) {
-  STREAMSC_CHECK(stream.ItemsRemainValid(),
-                 "DrainPass: stream invalidates items mid-pass; "
-                 "buffering would read dangling views");
-  std::vector<StreamItem> items;
-  items.reserve(stream.num_sets());
-  stream.BeginPass();
-  StreamItem item;
-  while (stream.Next(&item)) items.push_back(item);
-  return items;
-}
-
 void DrainPassInto(SetStream& stream, ArenaVector<StreamItem>& items) {
   STREAMSC_CHECK(stream.ItemsRemainValid(),
                  "DrainPassInto: stream invalidates items mid-pass; "
@@ -165,55 +153,6 @@ void DrainPassInto(SetStream& stream, ArenaVector<StreamItem>& items) {
   stream.BeginPass();
   StreamItem item;
   while (stream.Next(&item)) items.push_back(item);
-}
-
-void GainFilteredScan(
-    std::span<const StreamItem> items, DynamicBitset& uncovered,
-    ParallelPassEngine* engine,
-    FunctionRef<void(const StreamItem&, Count, bool)> visit,
-    TraceRecorder* trace) {
-  if (engine == nullptr || engine->num_threads() <= 1 || items.size() < 2) {
-    for (const StreamItem& item : items) {
-      if (uncovered.None()) return;
-      const Count gain = item.set.CountAnd(uncovered);
-      if (gain > 0) visit(item, gain, /*bound_is_exact=*/true);
-    }
-    return;
-  }
-
-  // Chunked parallel filter + in-order commit. The chunk size only
-  // affects how stale the snapshot bounds are, never the outcome: bounds
-  // only shrink as earlier commits subtract from `uncovered`, so a zero
-  // bound is a proof of zero current gain, and survivors are handed to
-  // visit in stream order against the live state.
-  const std::size_t chunk =
-      std::max<std::size_t>(64, items.size() / (8 * engine->num_threads()));
-  MonotonicArena& scratch = ThreadScratchArena();
-  const ArenaCheckpoint checkpoint(scratch);
-  Count* const bounds = scratch.Allocate<Count>(chunk);
-  for (std::size_t pos = 0; pos < items.size(); pos += chunk) {
-    if (uncovered.None()) return;
-    const std::size_t width = std::min(chunk, items.size() - pos);
-    engine->ParallelFor(
-        width,
-        [&](std::size_t k) {
-          bounds[k] = items[pos + k].set.CountAnd(uncovered);
-        },
-        trace);
-    for (std::size_t k = 0; k < width; ++k) {
-      if (bounds[k] > 0) {
-        visit(items[pos + k], bounds[k], /*bound_is_exact=*/false);
-      }
-    }
-  }
-}
-
-void ThresholdScan(std::span<const StreamItem> items, double threshold,
-                   DynamicBitset& uncovered, ParallelPassEngine* engine,
-                   FunctionRef<void(SetId)> on_take) {
-  const auto take = [&](SetId id, Count) { on_take(id); };
-  const ThresholdTakeVisitor visitor(threshold, uncovered, take);
-  GainFilteredScan(items, uncovered, engine, visitor);
 }
 
 }  // namespace streamsc

@@ -6,36 +6,25 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <thread>
 #include <vector>
 
 #include "stream/set_stream.h"
 #include "util/arena.h"
-#include "util/bitset.h"
-#include "util/common.h"
 #include "util/function_ref.h"
 
 /// \file parallel_pass_engine.h
-/// ParallelPassEngine: a fixed worker pool that shards one stream pass's
-/// items across threads, plus the deterministic scan primitives built on
-/// it.
-///
-/// Determinism contract: every helper in this file produces results that
-/// are **bit-identical for any thread count** (including the engine-less
-/// sequential path). Parallelism is used only where item work is
-/// independent (projection) or where a parallel phase can be proven
-/// equivalent to the sequential loop (ThresholdScan's monotone-gain
-/// filter + in-order commit). Merges happen in stream order at pass end;
-/// no result ever depends on thread scheduling.
+/// ParallelPassEngine: a fixed worker pool that shards index ranges of
+/// one stream pass across threads, plus DrainPassInto, which buffers a
+/// pass so its items can be sharded. The deterministic pass primitives
+/// built on the pool live in EngineContext (engine_context.h).
 ///
 /// Allocation contract: the engine's steady state is heap-allocation-free.
-/// Pass callbacks travel as FunctionRef (two words, never allocates), jobs
-/// are recycled from a small pool instead of make_shared per call, and the
-/// scan primitives stage their snapshot buffers in the calling thread's
-/// scratch arena. Worker threads get their scratch arena rewound at job
-/// pickup, so worker-staged payloads must be committed (copied out) by the
-/// orchestrator before it posts the next job — every primitive here does.
+/// Callbacks travel as FunctionRef (two words, never allocates) and jobs
+/// are recycled from a small pool instead of make_shared per call.
+/// Worker threads get their scratch arena rewound at job pickup, so
+/// worker-staged payloads must be committed (copied out) by the
+/// orchestrator before it posts the next job.
 
 namespace streamsc {
 
@@ -116,84 +105,13 @@ class ParallelPassEngine {
   std::vector<std::shared_ptr<Job>> job_pool_;
 };
 
-/// Starts a new pass on \p stream and buffers all its items. Requires
-/// stream.ItemsRemainValid() (CHECK-fails otherwise): the returned views
-/// borrow from the stream and stay valid until its next pass.
-std::vector<StreamItem> DrainPass(SetStream& stream);
-
-/// Reusing-buffer form of DrainPass: clears \p items and refills it,
-/// retaining capacity (and, with an arena-bound vector, retaining the
-/// arena's chunks) across passes — the zero-allocation steady state.
+/// Starts a new pass on \p stream and buffers all its items into
+/// \p items (cleared first). Requires stream.ItemsRemainValid()
+/// (CHECK-fails otherwise): the buffered views borrow from the stream and
+/// stay valid until its next pass. Capacity is retained across passes
+/// (and, with an arena-bound vector, the arena's chunks), which is the
+/// zero-allocation steady state.
 void DrainPassInto(SetStream& stream, ArenaVector<StreamItem>& items);
-
-/// The monotone-gain filter core shared by ThresholdScan and
-/// EngineContext::GainScanPass — the one copy of the chunked
-/// snapshot-filter + in-order-commit logic. Calls
-/// visit(item, gain_bound, bound_is_exact) in stream order for every item
-/// whose bound is positive; sequentially (null/1-thread engine) the bound
-/// is the exact current gain, sharded it is a chunk-snapshot upper bound
-/// (`uncovered` only shrinks within a pass, and a zero bound proves zero
-/// current gain). visit may clear bits of `uncovered`; for thread-count-
-/// invariant results it must re-evaluate inexact bounds before acting on
-/// their magnitude and be a no-op at zero current gain. Stops early once
-/// `uncovered` is empty (every further visit would be such a no-op).
-/// The snapshot-bound buffer lives in the calling thread's scratch arena
-/// for the duration of the scan. A non-null \p trace flows into the
-/// chunk jobs so workers emit their kShard spans.
-void GainFilteredScan(std::span<const StreamItem> items,
-                      DynamicBitset& uncovered, ParallelPassEngine* engine,
-                      FunctionRef<void(const StreamItem&, Count, bool)> visit,
-                      TraceRecorder* trace = nullptr);
-
-/// The threshold-take visit for GainFilteredScan — the one copy of the
-/// eligibility rule: a below-threshold bound is a proof of ineligibility
-/// (gains only shrink); survivors re-evaluate against the live `uncovered`
-/// and, when still eligible, are taken (on_take receives the exact
-/// committed gain) and subtracted. Shared by ThresholdScan and
-/// EngineContext::ThresholdPass. Non-owning: \p uncovered and the
-/// callable behind \p on_take must outlive the visitor.
-class ThresholdTakeVisitor {
- public:
-  ThresholdTakeVisitor(double threshold, DynamicBitset& uncovered,
-                       FunctionRef<void(SetId, Count)> on_take)
-      : threshold_(threshold), uncovered_(&uncovered), on_take_(on_take) {}
-
-  void operator()(const StreamItem& item, Count bound,
-                  bool bound_is_exact) const {
-    // A below-threshold bound is a proof of ineligibility; survivors are
-    // re-evaluated against the current state, in order.
-    if (static_cast<double>(bound) < threshold_) return;
-    const Count gain = bound_is_exact ? bound : item.set.CountAnd(*uncovered_);
-    if (gain > 0 && static_cast<double>(gain) >= threshold_) {
-      on_take_(item.id, gain);
-      item.set.AndNotInto(*uncovered_);
-    }
-  }
-
- private:
-  double threshold_;
-  DynamicBitset* uncovered_;
-  FunctionRef<void(SetId, Count)> on_take_;
-};
-
-/// The pruning-scan primitive shared by the threshold-style passes:
-/// sequentially equivalent to
-///
-///   for item in items:                       # in stream order
-///     gain = |item.set & uncovered|
-///     if gain > 0 and gain >= threshold:
-///       on_take(item.id); uncovered \= item.set
-///
-/// With an engine, gains are precomputed in parallel against a chunk
-/// snapshot of `uncovered` and candidates are re-evaluated in stream
-/// order. Because `uncovered` only shrinks within a pass, a set whose
-/// snapshot gain is below the threshold can never reach it later, so the
-/// filter drops no taker — the output is bit-identical to the sequential
-/// loop for every thread count. Pass engine == nullptr for the plain
-/// sequential scan.
-void ThresholdScan(std::span<const StreamItem> items, double threshold,
-                   DynamicBitset& uncovered, ParallelPassEngine* engine,
-                   FunctionRef<void(SetId)> on_take);
 
 }  // namespace streamsc
 

@@ -65,15 +65,11 @@ struct RunContext {
 struct StreamRunStats {
   std::uint64_t passes = 0;       ///< Passes over the stream.
   Bytes peak_space_bytes = 0;     ///< Peak logical space (SpaceMeter).
-  std::uint64_t items_seen = 0;   ///< Stream items consumed across passes.
-  std::uint64_t sets_taken = 0;   ///< Committed takes, incl. recorded
-                                  ///< offline sub-solver picks.
-  std::uint64_t elements_covered = 0;  ///< Sum of committed marginal gains.
   double wall_seconds = 0.0;      ///< Wall-clock time of the run.
 
-  /// Full interned-counter snapshot (obs/counters.h): every engine.*
-  /// counter the run's EngineContexts accumulated, merged across guess
-  /// iterations. The engine.* counters other than shard dispatch detail
+  /// The engine.* counters the run's EngineContexts accumulated, merged
+  /// across guess iterations; read them through the engine_counters::
+  /// handles (stream/engine_context.h). All but the shard dispatch pair
   /// are deterministic like the scalar fields above.
   CounterSet counters;
 };

@@ -18,6 +18,7 @@
 #include "instance/generators.h"
 #include "obs/counters.h"
 #include "storage/binary_instance_writer.h"
+#include "stream/engine_context.h"
 #include "testing/scoped_temp_dir.h"
 #include "util/bitset.h"
 #include "util/random.h"
@@ -73,6 +74,10 @@ bool CoversLiveInstance(const SolveSession& session,
 
 std::uint64_t DynCounter(const SolveReport& report, const char* name) {
   return report.counters.value(CounterId::Counter(name));
+}
+
+std::uint64_t EngineCounter(const SolveReport& report, CounterId id) {
+  return report.counters.value(id);
 }
 
 TEST(WarmStartTest, UnchangedDeltaReSolvesWarmByteForByte) {
@@ -158,6 +163,55 @@ TEST(WarmStartTest, BenignMutationKeepsThePrefixAndCoversTheResidue) {
   EXPECT_EQ(warm->surviving_prefix, cold->solution.size());
   EXPECT_TRUE(CoversLiveInstance(*session, *warm));
   EXPECT_EQ(DynCounter(*warm, "dynamic.warm_solves"), 1u);
+}
+
+// A warm report counts every set it returns as taken — the kept prefix
+// as well as the residue's cleanup takes — and credits the whole universe
+// as covered, exactly like a cold report.
+TEST(WarmStartTest, WarmReportsCountEveryChosenSetAsTaken) {
+  Fixture fx(61);
+  const std::uint64_t n = fx.base.universe_size();
+  StatusOr<SolveSession> session =
+      SolveSession::OpenOverlay(fx.base_path, fx.delta_path);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  StatusOr<SolveReport> cold = session->Solve(kSolver, kArgs);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  ASSERT_TRUE(cold->feasible);
+  ASSERT_GE(cold->solution.size(), 2u);
+  EXPECT_EQ(EngineCounter(*cold, engine_counters::SetsTaken()),
+            cold->solution.size());
+
+  // Empty residue: the unchanged delta re-solves to the memo itself.
+  StatusOr<SolveReport> same = session->Solve(kSolver, kArgs);
+  ASSERT_TRUE(same.ok()) << same.status().ToString();
+  ASSERT_TRUE(same->warm_start);
+  EXPECT_EQ(same->residue_elements, 0u);
+  EXPECT_EQ(EngineCounter(*same, engine_counters::SetsTaken()),
+            same->solution.size());
+  EXPECT_EQ(EngineCounter(*same, engine_counters::ElementsCovered()), n);
+
+  // Non-empty residue: removing the last chosen set keeps the prefix
+  // before it, and the cleanup pass re-covers what that set covered. The
+  // added full-universe set keeps the instance coverable.
+  const std::uint64_t last_slot =
+      session->overlay()->live_to_slot(same->solution.chosen.back());
+  {
+    DeltaLogWriter writer(fx.delta_path);
+    ASSERT_TRUE(writer.status().ok()) << writer.status().ToString();
+    ASSERT_TRUE(writer.AddSet(DynamicBitset::Full(n)).ok());
+    ASSERT_TRUE(writer.RemoveSet(last_slot).ok());
+    ASSERT_TRUE(writer.Finish().ok());
+  }
+  ASSERT_TRUE(session->RefreshDelta().ok());
+  StatusOr<SolveReport> residue = session->Solve(kSolver, kArgs);
+  ASSERT_TRUE(residue.ok()) << residue.status().ToString();
+  ASSERT_TRUE(residue->warm_start);
+  EXPECT_TRUE(residue->feasible);
+  EXPECT_GT(residue->residue_elements, 0u);
+  EXPECT_EQ(residue->surviving_prefix, same->solution.size() - 1);
+  EXPECT_EQ(EngineCounter(*residue, engine_counters::SetsTaken()),
+            residue->solution.size());
+  EXPECT_EQ(EngineCounter(*residue, engine_counters::ElementsCovered()), n);
 }
 
 TEST(WarmStartTest, GuttedPrefixFallsBackToAColdSolve) {

@@ -105,13 +105,11 @@ TracedRun RunSolver(const std::string& solver_key,
   TracedRun run;
   run.solution.assign(report->solution.chosen.begin(),
                       report->solution.chosen.end());
-  run.passes = report->counters.value(CounterId::Counter("engine.passes"));
-  run.items_scanned =
-      report->counters.value(CounterId::Counter("engine.items_scanned"));
-  run.sets_taken =
-      report->counters.value(CounterId::Counter("engine.sets_taken"));
+  run.passes = report->counters.value(engine_counters::Passes());
+  run.items_scanned = report->counters.value(engine_counters::ItemsScanned());
+  run.sets_taken = report->counters.value(engine_counters::SetsTaken());
   run.elements_covered =
-      report->counters.value(CounterId::Counter("engine.elements_covered"));
+      report->counters.value(engine_counters::ElementsCovered());
   return run;
 }
 

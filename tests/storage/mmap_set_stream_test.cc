@@ -10,6 +10,7 @@
 #include "stream/parallel_pass_engine.h"
 #include "stream/set_stream.h"
 #include "testing/scoped_temp_dir.h"
+#include "util/arena.h"
 #include "util/random.h"
 
 namespace streamsc {
@@ -61,19 +62,19 @@ TEST(MmapSetStreamTest, ViewsSurviveAWholeBufferedPass) {
 
   MmapSetStream stream(path);
   ASSERT_TRUE(stream.status().ok());
-  // DrainPass CHECKs ItemsRemainValid() and buffers every view; comparing
-  // the buffered views afterwards proves none was invalidated by later
-  // Next() calls (the property FileSetStream cannot offer).
-  const std::vector<StreamItem> items = DrainPass(stream);
+  // DrainPassInto CHECKs ItemsRemainValid() and buffers every view;
+  // comparing the buffered views afterwards proves none was invalidated by
+  // later Next() calls (the property FileSetStream cannot offer).
+  ArenaVector<StreamItem> items;
+  DrainPassInto(stream, items);
   ASSERT_EQ(items.size(), system.num_sets());
   for (std::size_t i = 0; i < items.size(); ++i) {
     EXPECT_TRUE(items[i].set == system.set(static_cast<SetId>(i)));
   }
 }
 
-// The cross-source, cross-thread solution-identity contract that used to
-// be spot-checked here (Assadi, threshold-greedy) is now proven for every
-// solver by the conformance matrix in tests/integration/
+// The cross-source, cross-thread solution-identity contract is proven for
+// every solver by the conformance matrix in tests/integration/
 // solver_matrix_test.cc; this suite keeps to the stream itself.
 
 TEST(MmapSetStreamTest, StreamAndCursorViewsKeepItemsValid) {
@@ -86,12 +87,15 @@ TEST(MmapSetStreamTest, StreamAndCursorViewsKeepItemsValid) {
   MmapSetStream stream(path);
   ASSERT_TRUE(stream.status().ok());
   // Both the stream and a cursor view over it borrow the mapping, so
-  // either can hand a whole pass to DrainPass.
+  // either can hand a whole pass to DrainPassInto.
   MmapStreamView view(stream);
   EXPECT_TRUE(stream.ItemsRemainValid());
   EXPECT_TRUE(view.ItemsRemainValid());
-  EXPECT_EQ(DrainPass(stream).size(), whole.num_sets());
-  EXPECT_EQ(DrainPass(view).size(), whole.num_sets());
+  ArenaVector<StreamItem> items;
+  DrainPassInto(stream, items);
+  EXPECT_EQ(items.size(), whole.num_sets());
+  DrainPassInto(view, items);
+  EXPECT_EQ(items.size(), whole.num_sets());
 }
 
 }  // namespace

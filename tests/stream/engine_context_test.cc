@@ -6,8 +6,10 @@
 #include <numeric>
 #include <vector>
 
+#include "core/sampling.h"
 #include "instance/generators.h"
 #include "stream/set_stream.h"
+#include "util/arena.h"
 #include "util/random.h"
 
 namespace streamsc {
@@ -47,10 +49,11 @@ TEST(EngineContextDeathTest, RequireShardedRejectsUnbufferableStream) {
   EXPECT_DEATH(RequireSharded(stream, &engine), "cannot buffer a pass");
 }
 
-TEST(EngineContextDeathTest, DrainPassRejectsUnbufferableStream) {
+TEST(EngineContextDeathTest, DrainPassIntoRejectsUnbufferableStream) {
   const SetSystem system = SmallSystem();
   UnbufferableStream stream(system);
-  EXPECT_DEATH(DrainPass(stream), "invalidates items");
+  ArenaVector<StreamItem> items;
+  EXPECT_DEATH(DrainPassInto(stream, items), "invalidates items");
 }
 
 // --- MakeEngine semantics. ---------------------------------------------
@@ -85,31 +88,50 @@ TEST(EngineContextTest, ShardsOnlyWithEngineAndBufferableStream) {
 
 // --- Determinism of the primitives across thread counts. ---------------
 
+std::uint64_t Counter(const EngineContext& ctx, CounterId id) {
+  return ctx.counters().value(id);
+}
+
+// Each case is a system plus the threshold its pass runs at: the small
+// system at 10, and six seeds of a denser system at 12.
 TEST(EngineContextTest, ThresholdPassMatchesSequentialForAnyThreadCount) {
-  const SetSystem system = SmallSystem(3);
+  std::vector<std::pair<SetSystem, double>> cases;
+  cases.emplace_back(SmallSystem(3), 10.0);
+  for (std::uint64_t seed = 0; seed < 6; ++seed) {
+    Rng rng(seed);
+    cases.emplace_back(UniformRandomInstance(400, 60, 30, rng), 12.0);
+  }
 
-  VectorSetStream baseline_stream(system);
-  EngineContext baseline_ctx(baseline_stream, nullptr);
-  DynamicBitset baseline_uncovered = DynamicBitset::Full(300);
-  std::vector<SetId> baseline_taken;
-  baseline_ctx.ThresholdPass(10.0, baseline_uncovered, [&](SetId id) {
-    baseline_taken.push_back(id);
-  });
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    SCOPED_TRACE("case=" + std::to_string(c));
+    const SetSystem& system = cases[c].first;
+    const double threshold = cases[c].second;
+    const std::size_t n = system.universe_size();
 
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    ParallelPassEngine engine(threads);
-    VectorSetStream stream(system);
-    EngineContext ctx(stream, &engine);
-    DynamicBitset uncovered = DynamicBitset::Full(300);
-    std::vector<SetId> taken;
-    ctx.ThresholdPass(10.0, uncovered,
-                      [&](SetId id) { taken.push_back(id); });
-    EXPECT_EQ(taken, baseline_taken);
-    EXPECT_EQ(uncovered, baseline_uncovered);
-    EXPECT_EQ(ctx.stats().sets_taken, baseline_ctx.stats().sets_taken);
-    EXPECT_EQ(ctx.stats().elements_covered,
-              baseline_ctx.stats().elements_covered);
+    VectorSetStream baseline_stream(system);
+    EngineContext baseline_ctx(baseline_stream, nullptr);
+    DynamicBitset baseline_uncovered = DynamicBitset::Full(n);
+    std::vector<SetId> baseline_taken;
+    baseline_ctx.ThresholdPass(threshold, baseline_uncovered, [&](SetId id) {
+      baseline_taken.push_back(id);
+    });
+
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      ParallelPassEngine engine(threads);
+      VectorSetStream stream(system);
+      EngineContext ctx(stream, &engine);
+      DynamicBitset uncovered = DynamicBitset::Full(n);
+      std::vector<SetId> taken;
+      ctx.ThresholdPass(threshold, uncovered,
+                        [&](SetId id) { taken.push_back(id); });
+      EXPECT_EQ(taken, baseline_taken);
+      EXPECT_EQ(uncovered, baseline_uncovered);
+      EXPECT_EQ(Counter(ctx, engine_counters::SetsTaken()),
+                Counter(baseline_ctx, engine_counters::SetsTaken()));
+      EXPECT_EQ(Counter(ctx, engine_counters::ElementsCovered()),
+                Counter(baseline_ctx, engine_counters::ElementsCovered()));
+    }
   }
 }
 
@@ -143,27 +165,104 @@ TEST(EngineContextTest, GainScanPassBoundsAreUpperBoundsVisitedInOrder) {
   EXPECT_FALSE(first) << "visit never called";
 }
 
+// Where sharding cannot help (a stream of fewer than two sets, or a
+// one-thread engine) the scan takes the sequential loop: every bound is
+// exact, no shard job is posted, and the visits and counters equal the
+// engine-free run's.
+TEST(EngineContextTest, GainScanPassRunsSequentiallyWhenShardingCannotHelp) {
+  SetSystem one_set(64);
+  one_set.AddSetFromIndices({1, 2, 3, 40});
+  struct Case {
+    SetSystem system;
+    std::size_t threads;
+  };
+  std::vector<Case> cases;
+  cases.push_back({SetSystem(64), 8});
+  cases.push_back({one_set, 8});
+  cases.push_back({SmallSystem(7), 1});
+
+  using Visit = std::pair<SetId, Count>;
+  const auto run = [](const SetSystem& system, ParallelPassEngine* engine,
+                      std::vector<Visit>& visits) {
+    VectorSetStream stream(system);
+    EngineContext ctx(stream, engine);
+    DynamicBitset uncovered = DynamicBitset::Full(system.universe_size());
+    ctx.GainScanPass(uncovered, [&](const StreamItem& item, Count bound,
+                                    bool bound_is_exact) {
+      EXPECT_TRUE(bound_is_exact) << "set " << item.id;
+      visits.emplace_back(item.id, bound);
+      item.set.AndNotInto(uncovered);
+    });
+    return ctx.counters();
+  };
+
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    SCOPED_TRACE("case=" + std::to_string(c));
+    const SetSystem& system = cases[c].system;
+    std::vector<Visit> baseline_visits;
+    const CounterSet baseline = run(system, nullptr, baseline_visits);
+    EXPECT_EQ(baseline_visits.empty(), system.num_sets() == 0);
+
+    ParallelPassEngine engine(cases[c].threads);
+    std::vector<Visit> visits;
+    const CounterSet counters = run(system, &engine, visits);
+    EXPECT_EQ(visits, baseline_visits);
+    EXPECT_EQ(counters.value(engine_counters::ShardJobs()), 0u);
+    for (const CounterId id :
+         {engine_counters::Passes(), engine_counters::ItemsScanned(),
+          engine_counters::SetsTaken(), engine_counters::ElementsCovered()}) {
+      EXPECT_EQ(counters.value(id), baseline.value(id)) << id.name();
+    }
+  }
+}
+
+// Two transforms: a plain per-item count, and the sampling solvers'
+// projection onto a sub-universe (each projection checked against the
+// dense reference, then re-homed into a SetSystem as the solvers do).
 TEST(EngineContextTest, TransformPassCommitsInStreamOrder) {
   const SetSystem system = SmallSystem(5);
+  Rng rng(3);
+  const SubUniverse sub(rng.BernoulliSubset(system.universe_size(), 0.3));
 
+  struct Outcome {
+    std::vector<std::pair<SetId, Count>> sizes;
+    SetSystem projections;
+  };
   const auto run = [&](ParallelPassEngine* engine) {
     VectorSetStream stream(system);
     EngineContext ctx(stream, engine);
-    std::vector<std::pair<SetId, Count>> committed;
+    Outcome out{{}, SetSystem(sub.size())};
     ctx.TransformPass<Count>(
         [](const StreamItem& item) { return item.set.CountSet(); },
         [&](const StreamItem& item, Count size) {
-          committed.emplace_back(item.id, size);
+          out.sizes.emplace_back(item.id, size);
         });
-    return committed;
+    ctx.TransformPass<ProjectedSet>(
+        [&](const StreamItem& item) {
+          return sub.ProjectAdaptive(item.set,
+                                     ArenaAllocator<ElementId>::Scratch());
+        },
+        [&](const StreamItem& item, ProjectedSet projection) {
+          EXPECT_TRUE(ViewOf(projection) == SetView(sub.Project(item.set)))
+              << "set " << item.id;
+          StoreProjection(out.projections, std::move(projection));
+        });
+    return out;
   };
 
-  const auto baseline = run(nullptr);
-  ASSERT_EQ(baseline.size(), system.num_sets());
+  const Outcome baseline = run(nullptr);
+  ASSERT_EQ(baseline.sizes.size(), system.num_sets());
+  ASSERT_EQ(baseline.projections.num_sets(), system.num_sets());
   for (const std::size_t threads : {2u, 8u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     ParallelPassEngine engine(threads);
-    EXPECT_EQ(run(&engine), baseline);
+    const Outcome outcome = run(&engine);
+    EXPECT_EQ(outcome.sizes, baseline.sizes);
+    ASSERT_EQ(outcome.projections.num_sets(), system.num_sets());
+    for (SetId id = 0; id < system.num_sets(); ++id) {
+      EXPECT_TRUE(outcome.projections.set(id) == baseline.projections.set(id))
+          << "set " << id;
+    }
   }
 }
 
@@ -203,12 +302,12 @@ TEST(EngineContextTest, SubtractPassClearsExactlyTheChosenSets) {
   DynamicBitset expected = DynamicBitset::Full(300);
   for (SetId id : chosen) system.set(id).AndNotInto(expected);
   EXPECT_EQ(uncovered, expected);
-  EXPECT_EQ(ctx.stats().passes, 1u);
-  EXPECT_EQ(ctx.stats().elements_covered,
+  EXPECT_EQ(Counter(ctx, engine_counters::Passes()), 1u);
+  EXPECT_EQ(Counter(ctx, engine_counters::ElementsCovered()),
             300u - expected.CountSet());
   // An empty subtraction costs no pass.
   ctx.SubtractPass({}, uncovered);
-  EXPECT_EQ(ctx.stats().passes, 1u);
+  EXPECT_EQ(Counter(ctx, engine_counters::Passes()), 1u);
 }
 
 TEST(EngineContextTest, UnionPassCollectsExactlyTheChosenSets) {
@@ -237,8 +336,8 @@ TEST(EngineContextTest, CoverResiduePassTakesUntilEmpty) {
                        [&](SetId id) { taken.push_back(id); });
   EXPECT_TRUE(uncovered.None());
   EXPECT_FALSE(taken.empty());
-  EXPECT_EQ(ctx.stats().sets_taken, taken.size());
-  EXPECT_EQ(ctx.stats().elements_covered, 128u);
+  EXPECT_EQ(Counter(ctx, engine_counters::SetsTaken()), taken.size());
+  EXPECT_EQ(Counter(ctx, engine_counters::ElementsCovered()), 128u);
 }
 
 TEST(EngineContextTest, ParallelForRunsWithoutStreamBuffering) {
@@ -256,6 +355,9 @@ TEST(EngineContextTest, ParallelForRunsWithoutStreamBuffering) {
 
 TEST(EngineContextTest, CountersAreThreadCountInvariant) {
   const SetSystem system = SmallSystem(11);
+  const CounterId deterministic[] = {
+      engine_counters::Passes(), engine_counters::ItemsScanned(),
+      engine_counters::SetsTaken(), engine_counters::ElementsCovered()};
 
   const auto run = [&](ParallelPassEngine* engine) {
     VectorSetStream stream(system);
@@ -263,20 +365,20 @@ TEST(EngineContextTest, CountersAreThreadCountInvariant) {
     DynamicBitset uncovered = DynamicBitset::Full(300);
     ctx.ThresholdPass(8.0, uncovered, [](SetId) {});
     ctx.ThresholdPass(1.0, uncovered, [](SetId) {});
-    return ctx.stats();
+    return ctx.counters();
   };
 
-  const EnginePassStats baseline = run(nullptr);
-  EXPECT_EQ(baseline.passes, 2u);
-  EXPECT_EQ(baseline.items_scanned, 2 * system.num_sets());
+  const CounterSet baseline = run(nullptr);
+  EXPECT_EQ(baseline.value(engine_counters::Passes()), 2u);
+  EXPECT_EQ(baseline.value(engine_counters::ItemsScanned()),
+            2 * system.num_sets());
   for (const std::size_t threads : {1u, 2u, 8u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     ParallelPassEngine engine(threads);
-    const EnginePassStats stats = run(&engine);
-    EXPECT_EQ(stats.passes, baseline.passes);
-    EXPECT_EQ(stats.items_scanned, baseline.items_scanned);
-    EXPECT_EQ(stats.sets_taken, baseline.sets_taken);
-    EXPECT_EQ(stats.elements_covered, baseline.elements_covered);
+    const CounterSet counters = run(&engine);
+    for (const CounterId id : deterministic) {
+      EXPECT_EQ(counters.value(id), baseline.value(id)) << id.name();
+    }
   }
 }
 

@@ -5,9 +5,9 @@
 #include <atomic>
 #include <vector>
 
-#include "core/sampling.h"
 #include "instance/generators.h"
 #include "stream/set_stream.h"
+#include "util/arena.h"
 #include "util/random.h"
 
 namespace streamsc {
@@ -48,12 +48,13 @@ TEST(ParallelPassEngineTest, SingleThreadEngineRunsInline) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
-TEST(ParallelPassEngineTest, DrainPassBuffersWholePassInOrder) {
+TEST(ParallelPassEngineTest, DrainPassIntoBuffersWholePassInOrder) {
   Rng rng(1);
   const SetSystem system = PlantedCoverInstance(128, 12, 4, rng);
   VectorSetStream stream(system);
   ASSERT_TRUE(stream.ItemsRemainValid());
-  const std::vector<StreamItem> items = DrainPass(stream);
+  ArenaVector<StreamItem> items;
+  DrainPassInto(stream, items);
   ASSERT_EQ(items.size(), 12u);
   EXPECT_EQ(stream.passes(), 1u);
   for (SetId id = 0; id < 12; ++id) {
@@ -62,62 +63,36 @@ TEST(ParallelPassEngineTest, DrainPassBuffersWholePassInOrder) {
   }
 }
 
-// The determinism contract: ThresholdScan and ProjectAll produce results
-// bit-identical to the sequential path for every thread count.
-TEST(ParallelPassEngineTest, ThresholdScanMatchesSequentialForAnyThreadCount) {
-  for (std::uint64_t seed = 0; seed < 6; ++seed) {
-    Rng rng(seed);
-    const SetSystem system = UniformRandomInstance(400, 60, 30, rng);
-    VectorSetStream stream(system);
-    const std::vector<StreamItem> items = DrainPass(stream);
-    const double threshold = 12.0;
+// The buffer is reused across passes: each pass replaces its contents,
+// whether the stream drained into it is the same one again or a shorter
+// one.
+TEST(ParallelPassEngineTest, DrainPassIntoRefillsTheBufferOnEveryPass) {
+  Rng rng(2);
+  const SetSystem large = PlantedCoverInstance(128, 12, 4, rng);
+  const SetSystem small = PlantedCoverInstance(64, 5, 2, rng);
+  VectorSetStream large_stream(large);
+  VectorSetStream small_stream(small);
+  ArenaVector<StreamItem> items;
 
-    DynamicBitset sequential_uncovered = DynamicBitset::Full(400);
-    std::vector<SetId> sequential_taken;
-    ThresholdScan(items, threshold, sequential_uncovered, nullptr,
-                  [&](SetId id) { sequential_taken.push_back(id); });
+  DrainPassInto(large_stream, items);
+  DrainPassInto(large_stream, items);
+  ASSERT_EQ(items.size(), 12u);
+  EXPECT_EQ(large_stream.passes(), 2u);
 
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-      ParallelPassEngine engine(threads);
-      DynamicBitset uncovered = DynamicBitset::Full(400);
-      std::vector<SetId> taken;
-      ThresholdScan(items, threshold, uncovered, &engine,
-                    [&](SetId id) { taken.push_back(id); });
-      EXPECT_EQ(taken, sequential_taken) << "threads=" << threads;
-      EXPECT_EQ(uncovered, sequential_uncovered) << "threads=" << threads;
-    }
+  DrainPassInto(small_stream, items);
+  ASSERT_EQ(items.size(), 5u);
+  EXPECT_EQ(small_stream.passes(), 1u);
+  for (SetId id = 0; id < 5; ++id) {
+    EXPECT_EQ(items[id].id, id);
+    EXPECT_TRUE(items[id].set == small.set(id));
   }
 }
 
-TEST(ParallelPassEngineTest, ProjectAllMatchesSequentialForAnyThreadCount) {
-  Rng rng(3);
-  const SetSystem system = UniformRandomInstance(600, 40, 25, rng);
-  VectorSetStream stream(system);
-  const std::vector<StreamItem> items = DrainPass(stream);
-  const SubUniverse sub(rng.BernoulliSubset(600, 0.3));
-
-  const std::vector<ProjectedSet> sequential = ProjectAll(sub, items, nullptr);
-  ASSERT_EQ(sequential.size(), items.size());
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    const DynamicBitset expected = sub.Project(items[i].set);
-    EXPECT_TRUE(ViewOf(sequential[i]) == SetView(expected));
-  }
-
-  for (const std::size_t threads : {2u, 8u}) {
-    ParallelPassEngine engine(threads);
-    const std::vector<ProjectedSet> parallel = ProjectAll(sub, items, &engine);
-    ASSERT_EQ(parallel.size(), sequential.size());
-    for (std::size_t i = 0; i < sequential.size(); ++i) {
-      EXPECT_TRUE(ViewOf(parallel[i]) == ViewOf(sequential[i]))
-          << "threads=" << threads;
-    }
-  }
-}
-
-// End-to-end solver determinism (formerly spot-checked here for Assadi
-// and threshold-greedy) now lives in the cross-algorithm conformance
-// matrix: tests/integration/solver_matrix_test.cc runs *every* solver
-// across {memory, file, mmap} sources x {none, 1, 2, 8} threads.
+// The determinism contract of the pass primitives built on the pool is
+// tested through EngineContext (tests/stream/engine_context_test.cc), and
+// end to end by the conformance matrix: tests/integration/
+// solver_matrix_test.cc runs every solver across {memory, file, mmap}
+// sources x {none, 1, 2, 8} threads.
 
 }  // namespace
 }  // namespace streamsc

@@ -65,14 +65,24 @@ namespace testing {
 struct SolverOutcome {
   ArenaVector<SetId> chosen;           ///< Solution ids, in take order.
   bool feasible = false;               ///< Solver-reported success bit.
-  std::uint64_t passes = 0;
-  std::uint64_t items_seen = 0;
-  std::uint64_t sets_taken = 0;        ///< Deterministic take counter.
-  std::uint64_t elements_covered = 0;  ///< Deterministic gain counter.
+  std::uint64_t passes = 0;            ///< Stream passes consumed.
+  std::uint64_t engine_passes = 0;     ///< engine.passes.
+  std::uint64_t items_scanned = 0;     ///< engine.items_scanned.
+  std::uint64_t sets_taken = 0;        ///< engine.sets_taken.
+  std::uint64_t elements_covered = 0;  ///< engine.elements_covered.
   Bytes peak_space_bytes = 0;          ///< Compared within a source only.
   std::uint64_t extra = 0;             ///< Solver-specific deterministic
                                        ///< scalar (coverage, candidates…).
 };
+
+/// Copies the four deterministic engine.* counters into \p out.
+inline void ReadEngineCounters(const CounterSet& counters,
+                               SolverOutcome* out) {
+  out->engine_passes = counters.value(engine_counters::Passes());
+  out->items_scanned = counters.value(engine_counters::ItemsScanned());
+  out->sets_taken = counters.value(engine_counters::SetsTaken());
+  out->elements_covered = counters.value(engine_counters::ElementsCovered());
+}
 
 /// Adapters from the three run-result shapes to the canonical outcome.
 inline SolverOutcome ToOutcome(const SetCoverRunResult& r) {
@@ -80,9 +90,7 @@ inline SolverOutcome ToOutcome(const SetCoverRunResult& r) {
   out.chosen = r.solution.chosen;
   out.feasible = r.feasible;
   out.passes = r.stats.passes;
-  out.items_seen = r.stats.items_seen;
-  out.sets_taken = r.stats.sets_taken;
-  out.elements_covered = r.stats.elements_covered;
+  ReadEngineCounters(r.stats.counters, &out);
   out.peak_space_bytes = r.stats.peak_space_bytes;
   return out;
 }
@@ -92,9 +100,7 @@ inline SolverOutcome ToOutcome(const MaxCoverageRunResult& r) {
   out.chosen = r.solution.chosen;
   out.feasible = !r.solution.chosen.empty();
   out.passes = r.stats.passes;
-  out.items_seen = r.stats.items_seen;
-  out.sets_taken = r.stats.sets_taken;
-  out.elements_covered = r.stats.elements_covered;
+  ReadEngineCounters(r.stats.counters, &out);
   out.peak_space_bytes = r.stats.peak_space_bytes;
   out.extra = r.coverage;
   return out;
@@ -105,9 +111,7 @@ inline SolverOutcome ToOutcome(const PairFinderResult& r) {
   out.chosen = r.solution.chosen;
   out.feasible = r.found;
   out.passes = r.passes;
-  out.items_seen = r.engine_stats.items_scanned;
-  out.sets_taken = r.engine_stats.sets_taken;
-  out.elements_covered = r.engine_stats.elements_covered;
+  ReadEngineCounters(r.counters, &out);
   out.peak_space_bytes = r.peak_space_bytes;
   out.extra = r.candidates_after_first_pass;
   return out;
@@ -118,9 +122,7 @@ inline SolverOutcome ToOutcome(const SolveReport& r) {
   out.chosen = r.solution.chosen;
   out.feasible = r.feasible;
   out.passes = r.passes;
-  out.items_seen = r.stats.items_scanned;
-  out.sets_taken = r.stats.sets_taken;
-  out.elements_covered = r.stats.elements_covered;
+  ReadEngineCounters(r.counters, &out);
   out.peak_space_bytes = r.peak_space_bytes;
   out.extra = r.extra;
   return out;
@@ -180,7 +182,7 @@ inline SolverFn RegistrySolverFn(std::string solver,
         << "arena-backed run diverged from the heap run";
     EXPECT_EQ(arena_outcome->feasible, heap_outcome->feasible);
     EXPECT_EQ(arena_outcome->passes, heap_outcome->passes);
-    EXPECT_EQ(arena_outcome->items_seen, heap_outcome->items_seen);
+    EXPECT_EQ(arena_outcome->items_scanned, heap_outcome->items_scanned);
     EXPECT_EQ(arena_outcome->sets_taken, heap_outcome->sets_taken);
     EXPECT_EQ(arena_outcome->elements_covered, heap_outcome->elements_covered);
     EXPECT_EQ(arena_outcome->peak_space_bytes, heap_outcome->peak_space_bytes);
@@ -189,7 +191,7 @@ inline SolverFn RegistrySolverFn(std::string solver,
         << "arming a TraceRecorder changed the solution";
     EXPECT_EQ(traced_outcome->feasible, heap_outcome->feasible);
     EXPECT_EQ(traced_outcome->passes, heap_outcome->passes);
-    EXPECT_EQ(traced_outcome->items_seen, heap_outcome->items_seen);
+    EXPECT_EQ(traced_outcome->items_scanned, heap_outcome->items_scanned);
     EXPECT_EQ(traced_outcome->sets_taken, heap_outcome->sets_taken);
     EXPECT_EQ(traced_outcome->elements_covered,
               heap_outcome->elements_covered);
@@ -209,6 +211,15 @@ inline DynamicBitset CoverOf(const SetSystem& system,
   DynamicBitset covered(system.universe_size());
   for (SetId id : chosen) system.set(id).OrInto(covered);
   return covered;
+}
+
+/// The counter set is the only carrier of the engine.* work counts, so
+/// pin it to what the stream itself saw: one engine pass per stream pass,
+/// each scanning every set.
+inline void ExpectEngineCountersMatchPasses(const SolverOutcome& outcome,
+                                            const SetSystem& system) {
+  EXPECT_EQ(outcome.engine_passes, outcome.passes);
+  EXPECT_EQ(outcome.items_scanned, outcome.passes * system.num_sets());
 }
 
 /// Runs \p solve across the full {memory, file, mmap} x {none, 1, 2, 8
@@ -263,10 +274,11 @@ inline void RunConformanceMatrix(const SetSystem& system,
       EXPECT_EQ(outcome.feasible, baseline.feasible);
       EXPECT_TRUE(CoverOf(system, outcome.chosen) == baseline_cover);
       EXPECT_EQ(outcome.passes, baseline.passes);
-      EXPECT_EQ(outcome.items_seen, baseline.items_seen);
+      EXPECT_EQ(outcome.items_scanned, baseline.items_scanned);
       EXPECT_EQ(outcome.sets_taken, baseline.sets_taken);
       EXPECT_EQ(outcome.elements_covered, baseline.elements_covered);
       EXPECT_EQ(outcome.extra, baseline.extra);
+      ExpectEngineCountersMatchPasses(outcome, system);
       if (!source_space.has_value()) {
         source_space = outcome.peak_space_bytes;
       } else {
@@ -316,10 +328,11 @@ inline void RunConformanceMatrix(const SetSystem& system,
       EXPECT_EQ(outcome.chosen, baseline.chosen);
       EXPECT_EQ(outcome.feasible, baseline.feasible);
       EXPECT_EQ(outcome.passes, baseline.passes);
-      EXPECT_EQ(outcome.items_seen, baseline.items_seen);
+      EXPECT_EQ(outcome.items_scanned, baseline.items_scanned);
       EXPECT_EQ(outcome.sets_taken, baseline.sets_taken);
       EXPECT_EQ(outcome.elements_covered, baseline.elements_covered);
       EXPECT_EQ(outcome.extra, baseline.extra);
+      ExpectEngineCountersMatchPasses(outcome, system);
     }
   }
 

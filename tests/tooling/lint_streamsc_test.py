@@ -91,13 +91,20 @@ class LintStreamscTest(unittest.TestCase):
                              "chrono")
         self.assert_reported(result, "src/dynamic/bad_overlay.cc", 5,
                              "chrono")
+        # An engine.* counter name spelled outside stream/engine_context.cc,
+        # in api/ and in another stream/ file; the comment and the api.*
+        # name next to the first are not reported.
+        self.assert_reported(result, "src/api/bad_counters.cc", 5,
+                             "counter-name")
+        self.assert_reported(result, "src/stream/bad_counters.cc", 3,
+                             "counter-name")
 
     def test_violation_count_is_exact(self):
         """No over-reporting: exactly the planted violations, nothing
         from comments, string literals, or the clean lines around them."""
         result = run_linter("--root", str(FIXTURES / "violations"))
         reported = [l for l in result.stdout.splitlines() if "[" in l]
-        self.assertEqual(len(reported), 16, result.stdout)
+        self.assertEqual(len(reported), 18, result.stdout)
 
     def test_real_tree_is_clean(self):
         """The wall starts (and stays) at zero violations on the repo."""
@@ -112,7 +119,7 @@ class LintStreamscTest(unittest.TestCase):
         rules = result.stdout.split()
         self.assertEqual(
             rules, ["layer-dag", "raw-assert", "determinism", "engine-ptr",
-                    "arena-ptr", "chrono"])
+                    "arena-ptr", "chrono", "counter-name"])
 
 
 class TidyGatingTest(unittest.TestCase):
