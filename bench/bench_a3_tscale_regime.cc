@@ -4,7 +4,8 @@
 // bench sweeps t_scale and locates the regime boundary empirically: the
 // fraction of θ=0 instances with opt ≤ 2α jumps from ~0 to ~1 as t grows
 // past n^{1/α}-ish. This is the calibration evidence behind every t_scale
-// chosen in the tests and benches (DESIGN.md "asymptotic constants").
+// chosen in the tests and benches (README.md, "Solvers": the t_scale
+// substitution).
 
 #include <cmath>
 #include <iostream>

@@ -11,8 +11,8 @@
 
 /// \file bench_common.h
 /// Shared scaffolding for the experiment binaries. Each bench regenerates
-/// one DESIGN.md experiment (E1..E12) as self-describing tables; see
-/// EXPERIMENTS.md for the paper-claim-vs-measured record.
+/// one experiment on the paper's claims as self-describing tables; see
+/// README.md ("Solvers") for the substitutions they rely on.
 ///
 /// Besides the human-readable tables, benches can accumulate BenchResult
 /// rows into a BenchJson sink, which writes a machine-readable

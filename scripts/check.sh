@@ -61,7 +61,7 @@ compiler_supports_sanitizer() {
 # solver (2-thread session pool) over a tiny generated instance. The
 # instance plants a 2-set optimum so every solver, including pair_finder,
 # genuinely succeeds; any solver erroring or reporting infeasible fails
-# the run.
+# the run. The six set-cover solvers also solve an n = 0 instance.
 run_registry_smoke() {
   local build_dir="$1"
   local tool="${build_dir}/examples/workload_tool"
@@ -76,6 +76,15 @@ run_registry_smoke() {
     echo "registry smoke (${build_dir}): ${solver}"
     "${tool}" solve "${tmp}/smoke.sscb1" "${solver}" threads=2 >/dev/null
   done < <("${tool}" solvers --names)
+  # Empty universe (n = 0): every set-cover solver must return the empty
+  # cover as feasible, which `solve` reports with exit status 0.
+  printf 'ssc1 0 2\n0\n0\n' > "${tmp}/empty.ssc"
+  "${tool}" convert "${tmp}/empty.ssc" "${tmp}/empty.sscb1" >/dev/null
+  for solver in assadi har_peled demaine emek_rosen one_pass \
+      threshold_greedy; do
+    echo "registry smoke (${build_dir}): ${solver} on an empty universe"
+    "${tool}" solve "${tmp}/empty.sscb1" "${solver}" >/dev/null
+  done
   # Traced solve through the same CLI surface: arms a TraceRecorder
   # (--trace/--stats), then proves the chrome-trace sidecar is loadable
   # JSON with at least one complete span. Under the sanitizer lanes this

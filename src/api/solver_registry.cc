@@ -12,12 +12,15 @@
 #include "core/pair_finder.h"
 #include "core/threshold_greedy.h"
 #include "obs/trace.h"
-#include "util/stopwatch.h"
 
 namespace streamsc {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// The smallest epsilon of a (1+eps)^j guess grid: below it 1 + eps
+// rounds to 1 and the grid never advances.
+constexpr double kMinGridEpsilon = std::numeric_limits<double>::epsilon();
 
 // Pre-run validation hook: stream-dependent option constraints that the
 // registry cannot check at Create() time (it has no stream yet).
@@ -143,7 +146,6 @@ class PairFinderAnySolver : public AnySolver {
 
   Status RunInto(SetStream& stream, const RunContext& context,
                  SolveReport* report) override {
-    Stopwatch timer;
     PairFinderResult r;
     {
       const TraceSpan span(context.trace, TraceCategory::kSolver,
@@ -153,11 +155,8 @@ class PairFinderAnySolver : public AnySolver {
     FillBase(solver_, SolverKind::kPairFinder, name_, report);
     report->solution = r.solution;
     report->feasible = r.found;
-    report->passes = r.passes;
-    report->peak_space_bytes = r.peak_space_bytes;
-    report->counters = r.counters;
     report->extra = r.candidates_after_first_pass;
-    report->wall_seconds = timer.ElapsedSeconds();
+    FillFromRunStats(r.stats, report);
     return Status::Ok();
   }
 
@@ -245,8 +244,8 @@ SolverRegistry::SolverRegistry() {
        "Assadi (PODS'17) Theorem 2: (alpha+eps)-approximation in 2*alpha+1 "
        "passes via one-shot pruning + per-iteration element sampling",
        {UintOptionMin("alpha", 2, 1, "target approximation factor"),
-        DoubleOptionRange("epsilon", 0.5, 0.0, kInf, true, false,
-                          "slack in the (alpha+eps) approximation"),
+        DoubleOptionRange("epsilon", 0.5, kMinGridEpsilon, kInf, false,
+                          false, "slack in the (alpha+eps) approximation"),
         BoostOption(), SeedOption(), BudgetOption(20'000'000),
         BoolOption("use_exact_subsolver", true,
                    "solve sub-instances optimally (paper) vs plain greedy "
@@ -380,7 +379,7 @@ SolverRegistry::SolverRegistry() {
        SolverKind::kMaxCoverage,
        "single-pass threshold sieve max k-coverage (Badanidiyuru'14 "
        "style): OPT guesses on a (1+eps) grid, (1/2-eps) guarantee",
-       {DoubleOptionRange("epsilon", 0.1, 0.0, 1.0, true, true,
+       {DoubleOptionRange("epsilon", 0.1, kMinGridEpsilon, 1.0, false, true,
                           "guess-grid resolution (1+eps)"),
         KOption()}},
       [](const ParsedOptions& o) -> std::unique_ptr<AnySolver> {

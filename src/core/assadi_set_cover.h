@@ -26,17 +26,20 @@
 /// Total: 2α+1 passes, ≤ (α+ε)·õpt sets, and U shrinks by ~n^{1/α} per
 /// iteration w.h.p. (Lemma 3.11).
 ///
-/// The driver runs O(log n / ε) geometric guesses. The paper runs guesses
-/// in parallel within shared passes; we run them sequentially from the
-/// smallest guess and stop at the first success, which preserves the space
-/// bound per guess and reports the actual pass count (see DESIGN.md).
+/// The driver runs O(log n / ε) geometric guesses õpt = ceil((1+ε)^j)
+/// through the shared skeleton (core/cover_run.h) with budget factor
+/// α+ε. The paper runs guesses in parallel within shared passes; we run
+/// them one after another from the smallest and stop at the first
+/// success, which keeps the space bound per guess and reports the actual
+/// pass count (see README.md, "Solvers").
 
 namespace streamsc {
 
 /// Configuration of Algorithm 1.
 struct AssadiConfig {
   std::size_t alpha = 2;        ///< Target approximation factor α >= 1.
-  double epsilon = 0.5;         ///< Slack ε > 0 in (α+ε).
+  double epsilon = 0.5;         ///< Slack ε > 0 in (α+ε), with 1+ε > 1
+                                ///< in double precision.
   double sampling_boost = 1.0;  ///< Multiplier on the Lemma 3.12 rate
                                 ///< (benches sweep this to locate the
                                 ///< space threshold; 1.0 = paper).
@@ -87,6 +90,15 @@ class AssadiSetCover : public StreamingSetCoverAlgorithm {
   const AssadiConfig& config() const { return config_; }
 
  private:
+  // The (2α+1)-pass core behind both RunWithGuess and the driver; writes
+  // |U| before the cleanup pass to \p residual_after_iterations if given.
+  SetCoverRunResult RunGuess(SetStream& stream, std::size_t opt_guess,
+                             Rng& rng, const RunContext& context,
+                             std::uint64_t* residual_after_iterations) const;
+
+  // α+ε: a guess õpt succeeds with a feasible cover of ≤ (α+ε)·õpt sets.
+  double BudgetFactor() const;
+
   AssadiConfig config_;
 };
 

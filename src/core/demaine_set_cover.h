@@ -22,10 +22,13 @@
 /// in α — the gap between n^{Θ(1/log α)} and n^{1/α} is exactly what
 /// Theorems 1 + 2 close.
 ///
-/// As with the other baselines, constants are calibrated, not copied:
-/// DIMV'14's code is not public, so this re-implementation reproduces the
-/// pass structure, the sub-solver choice (greedy, not exact), and the
-/// space exponent — the three attributes the paper's comparison rests on.
+/// The driver doubles õpt (growth 2, budget factor α) through the shared
+/// skeleton (core/cover_run.h); this file keeps the rate rule and the
+/// greedy sub-solve. As with the other baselines, constants are
+/// calibrated, not copied: DIMV'14's code is not public, so this
+/// re-implementation reproduces the pass structure, the sub-solver choice
+/// (greedy, not exact), and the space exponent — the three attributes the
+/// paper's comparison rests on (see README.md, "Solvers").
 
 namespace streamsc {
 

@@ -3,19 +3,17 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/cover_run.h"
 #include "obs/trace.h"
 #include "stream/engine_context.h"
 #include "util/arena.h"
 #include "util/check.h"
 #include "util/space_meter.h"
-#include "util/stopwatch.h"
 
 namespace streamsc {
 namespace {
 
-// Interned metering categories (hot path: array index per Charge).
-const SpaceCategory kUncoveredCat("uncovered");
-const SpaceCategory kSolutionCat("solution");
+// Interned metering category (hot path: array index per Charge).
 const SpaceCategory kWitnessesCat("witnesses");
 
 }  // namespace
@@ -38,9 +36,7 @@ std::size_t EmekRosenSetCover::ThresholdFor(std::size_t n) const {
 
 SetCoverRunResult EmekRosenSetCover::Run(SetStream& stream,
                                          const RunContext& context) {
-  Stopwatch timer;
   const std::size_t n = stream.universe_size();
-  const std::uint64_t passes_before = stream.passes();
   // An explicit threshold above n silently disables the "big set" rule —
   // the O(√n) bound degrades to witness-only O(n) without any signal.
   // That is a configuration bug, not a parameter choice.
@@ -50,21 +46,16 @@ SetCoverRunResult EmekRosenSetCover::Run(SetStream& stream,
                  "sqrt(n) default");
   const std::size_t theta = ThresholdFor(n);
 
-  SetCoverRunResult result;
-  SpaceMeter meter;
-  EngineContext ctx(stream, context);
-
   // Run-lived state (the uncovered bitset, the witness array, the
   // solution ids) on the run arena.
-  DynamicBitset uncovered =
-      DynamicBitset::Full(n, ctx.alloc<DynamicBitset::Word>());
-  meter.Charge(uncovered.ByteSize(), kUncoveredCat);
+  CoverRun run(stream, context);
+  EngineContext& ctx = run.ctx();
+  DynamicBitset& uncovered = run.uncovered();
   // Witness id per element; kInvalidSetId = none seen yet. Elements
   // covered by a taken set keep their (now unused) witness slot — the
   // array is the Õ(n) term of the space bound either way.
   ArenaVector<SetId> witness(n, kInvalidSetId, ctx.alloc<SetId>());
-  meter.Charge(n * sizeof(SetId), kWitnessesCat);
-  Solution solution(ctx.alloc<SetId>());
+  run.meter().Charge(n * sizeof(SetId), kWitnessesCat);
 
   // The threshold-and-witness pass. The big-set rule is a monotone
   // threshold take (eligible for the snapshot filter); the witness writes
@@ -78,8 +69,7 @@ SetCoverRunResult EmekRosenSetCover::Run(SetStream& stream,
       const Count gain =
           bound_is_exact ? bound : item.set.CountAnd(uncovered);
       if (gain >= theta) {
-        solution.chosen.push_back(item.id);
-        meter.SetCategory(solution.size() * sizeof(SetId), kSolutionCat);
+        run.Take(item.id);
         item.set.AndNotInto(uncovered);
         ctx.RecordTake(gain);
         return;
@@ -116,21 +106,12 @@ SetCoverRunResult EmekRosenSetCover::Run(SetStream& stream,
     if (!leftovers.empty()) {
       // One more (cheap) pass to subtract the witnesses' actual contents —
       // needed only to *verify* feasibility; the ids were already final.
-      ctx.RecordTakes(leftovers.size(), 0);
+      run.TakeAll(leftovers);
       ctx.SubtractPass(leftovers, uncovered);
-      solution.chosen.insert(solution.chosen.end(), leftovers.begin(),
-                             leftovers.end());
-      meter.SetCategory(solution.size() * sizeof(SetId), kSolutionCat);
     }
   }
 
-  result.solution = std::move(solution);
-  result.feasible = uncovered.None();
-  result.stats.passes = stream.passes() - passes_before;
-  result.stats.peak_space_bytes = meter.peak();
-  result.stats.wall_seconds = timer.ElapsedSeconds();
-  result.stats.counters = ctx.counters();
-  return result;
+  return run.Finish();
 }
 
 }  // namespace streamsc

@@ -22,8 +22,10 @@
 ///   2. sampling pass: store projections at rate with ρ = n^{-2/α}
 ///      (so the stored sample is ~n^{2/α}·õpt·log m — the c = 2 exponent);
 ///   3. solve the sub-instance optimally; subtraction pass.
-/// This is a faithful re-implementation *in spirit* of the comparator (the
-/// original is not open source); see DESIGN.md, substitutions.
+/// The driver doubles õpt (growth 2, budget factor α+1) through the shared
+/// skeleton (core/cover_run.h); this file keeps the iterative pruning and
+/// the rate rule. This is a faithful re-implementation *in spirit* of the
+/// comparator (the original is not open source); see README.md, "Solvers".
 
 namespace streamsc {
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/sampling.h"
+#include "core/cover_run.h"
 #include "obs/trace.h"
 #include "offline/exact_max_coverage.h"
 #include "offline/greedy.h"
@@ -11,14 +11,12 @@
 #include "util/check.h"
 #include "util/math.h"
 #include "util/space_meter.h"
-#include "util/stopwatch.h"
 
 namespace streamsc {
 namespace {
 
 // Interned metering categories (hot path: array index per Charge).
 const SpaceCategory kSampleUniverseCat("sample-universe");
-const SpaceCategory kProjectionsCat("projections");
 const SpaceCategory kCandidatesCat("candidates");
 
 }  // namespace
@@ -46,44 +44,25 @@ double ElementSamplingMaxCoverage::SampleRate(std::size_t n, std::size_t m,
 
 MaxCoverageRunResult ElementSamplingMaxCoverage::Run(
     SetStream& stream, std::size_t k, const RunContext& context) {
-  Stopwatch timer;
   const std::size_t n = stream.universe_size();
   const std::size_t m = stream.num_sets();
-  const std::uint64_t passes_before = stream.passes();
   Rng rng(config_.seed);
 
   MaxCoverageRunResult result;
-  SpaceMeter meter;
-  EngineContext ctx(stream, context);
+  StreamRun run(stream, context);
+  EngineContext& ctx = run.ctx();
 
   // Everything here is run-lived (one sample, one projection store, one
   // solve): it all goes straight on the run arena.
   // Sample the universe once, up front (public coins in the paper's
-  // communication view).
+  // communication view), then store every set's projection onto the
+  // sample in one pass.
   const double rate = SampleRate(n, m, k);
   const DynamicBitset sampled =
       rng.BernoulliSubset(n, rate, ctx.alloc<DynamicBitset::Word>());
-  SubUniverse sub(sampled, ctx.alloc<ElementId>());
-  meter.Charge(CeilDiv(sub.size(), 8), kSampleUniverseCat);
-
-  // One pass: store every set's projection onto the sample. Workers
-  // project into their own scratch; the commit re-homes each projection
-  // into the run-arena-backed system.
-  SetSystem projections(sub.size(), SetSystem::kDefaultSparsityThreshold,
-                        context.arena);
-  ArenaVector<SetId> projection_ids(ctx.alloc<SetId>());
-  projection_ids.reserve(m);
-  ctx.TransformPass<ProjectedSet>(
-      [&](const StreamItem& it) {
-        return sub.ProjectAdaptive(it.set,
-                                   ArenaAllocator<ElementId>::Scratch());
-      },
-      [&](const StreamItem& it, ProjectedSet proj) {
-        const SetId pid = StoreProjection(projections, std::move(proj));
-        meter.Charge(projections.SetBytes(pid) + sizeof(SetId),
-                     kProjectionsCat);
-        projection_ids.push_back(it.id);
-      });
+  const ProjectedSample sample(run, sampled, ctx.arena());
+  const SubUniverse& sub = sample.sub();
+  run.meter().Charge(CeilDiv(sub.size(), 8), kSampleUniverseCat);
 
   // Offline solve on the sampled instance. The solve's internals bracket
   // the thread's table arena; its result lands on the run arena.
@@ -97,12 +76,13 @@ MaxCoverageRunResult ElementSamplingMaxCoverage::Run(
       ExactMaxCoverageOptions options;
       options.max_nodes = config_.exact_node_budget;
       ExactMaxCoverageResult exact = SolveExactMaxCoverage(
-          projections,
+          sample.projections(),
           DynamicBitset::Full(sub.size(), DynamicBitset::Allocator(table)), k,
           options, ctx.alloc<SetId>());
       local = std::move(exact.solution);
     } else {
-      const Solution greedy = GreedyMaxCoverage(projections, k, table);
+      const Solution greedy =
+          GreedyMaxCoverage(sample.projections(), k, table);
       local.chosen.assign(greedy.chosen.begin(), greedy.chosen.end());
     }
   }
@@ -110,7 +90,7 @@ MaxCoverageRunResult ElementSamplingMaxCoverage::Run(
   Solution lifted(ctx.alloc<SetId>());
   lifted.chosen.reserve(local.chosen.size());
   for (const SetId id : local.chosen) {
-    lifted.chosen.push_back(projection_ids[id]);
+    lifted.chosen.push_back(sample.StreamId(id));
   }
   result.solution = std::move(lifted);
 
@@ -123,18 +103,15 @@ MaxCoverageRunResult ElementSamplingMaxCoverage::Run(
   }
   result.coverage = covered.CountSet();
   ctx.RecordTakes(result.solution.size(), result.coverage);
-
-  result.stats.passes = stream.passes() - passes_before;
-  result.stats.peak_space_bytes = meter.peak();
-  result.stats.wall_seconds = timer.ElapsedSeconds();
-  result.stats.counters = ctx.counters();
+  result.stats = run.Stats();
   return result;
 }
 
 SieveMaxCoverage::SieveMaxCoverage(SieveMcConfig config) : config_(config) {
-  STREAMSC_CHECK(config_.epsilon > 0.0 && config_.epsilon < 1.0,
-                 "SieveMcConfig: epsilon must lie in (0, 1) — epsilon 0 "
-                 "freezes the (1+eps)^j guess grid and loops forever");
+  STREAMSC_CHECK(1.0 + config_.epsilon > 1.0 && config_.epsilon < 1.0,
+                 "SieveMcConfig: epsilon must lie in (0, 1) with 1 + epsilon "
+                 "> 1 — a smaller epsilon freezes the (1+eps)^j guess grid, "
+                 "which then grows lanes without bound");
 }
 
 std::string SieveMaxCoverage::name() const {
@@ -143,13 +120,11 @@ std::string SieveMaxCoverage::name() const {
 
 MaxCoverageRunResult SieveMaxCoverage::Run(SetStream& stream, std::size_t k,
                                            const RunContext& context) {
-  Stopwatch timer;
   const std::size_t n = stream.universe_size();
-  const std::uint64_t passes_before = stream.passes();
 
   MaxCoverageRunResult result;
-  SpaceMeter meter;
-  EngineContext ctx(stream, context);
+  StreamRun run(stream, context);
+  EngineContext& ctx = run.ctx();
 
   // One candidate solution per OPT guess v on the grid (1+ε)^j in
   // [1, k·n]. Each candidate retains its covered-elements bitset. All
@@ -169,7 +144,7 @@ MaxCoverageRunResult SieveMaxCoverage::Run(SetStream& stream, std::size_t k,
         Candidate{v, DynamicBitset(n, ctx.alloc<DynamicBitset::Word>()),
                   ArenaVector<SetId>(ctx.alloc<SetId>())});
     candidates.back().chosen.reserve(k);
-    meter.Charge(candidates.back().covered.ByteSize(), kCandidatesCat);
+    run.meter().Charge(candidates.back().covered.ByteSize(), kCandidatesCat);
   }
 
   // Every guess is an independent lane: its take decisions depend only on
@@ -221,11 +196,7 @@ MaxCoverageRunResult SieveMaxCoverage::Run(SetStream& stream, std::size_t k,
     result.solution = std::move(solution);
     result.coverage = best_coverage;
   }
-
-  result.stats.passes = stream.passes() - passes_before;
-  result.stats.peak_space_bytes = meter.peak();
-  result.stats.wall_seconds = timer.ElapsedSeconds();
-  result.stats.counters = ctx.counters();
+  result.stats = run.Stats();
   return result;
 }
 

@@ -2,20 +2,12 @@
 
 #include <algorithm>
 
+#include "core/cover_run.h"
 #include "obs/trace.h"
 #include "stream/engine_context.h"
 #include "util/check.h"
-#include "util/space_meter.h"
-#include "util/stopwatch.h"
 
 namespace streamsc {
-namespace {
-
-// Interned metering categories (hot path: array index per Charge).
-const SpaceCategory kUncoveredCat("uncovered");
-const SpaceCategory kSolutionCat("solution");
-
-}  // namespace
 
 OnePassSetCover::OnePassSetCover(OnePassConfig config) : config_(config) {
   STREAMSC_CHECK(
@@ -30,17 +22,9 @@ std::string OnePassSetCover::name() const {
 
 SetCoverRunResult OnePassSetCover::Run(SetStream& stream,
                                        const RunContext& context) {
-  Stopwatch timer;
-  const std::size_t n = stream.universe_size();
-  const std::uint64_t passes_before = stream.passes();
-
-  SetCoverRunResult result;
-  SpaceMeter meter;
-  EngineContext ctx(stream, context);
-  DynamicBitset uncovered =
-      DynamicBitset::Full(n, ctx.alloc<DynamicBitset::Word>());
-  meter.Charge(uncovered.ByteSize(), kUncoveredCat);
-  Solution solution(ctx.alloc<SetId>());
+  CoverRun run(stream, context);
+  EngineContext& ctx = run.ctx();
+  DynamicBitset& uncovered = run.uncovered();
 
   // The acceptance bar max(1, frac·|U|) shrinks together with |U|, so
   // only the zero-gain part of the snapshot filter is sound here: a
@@ -55,20 +39,13 @@ SetCoverRunResult OnePassSetCover::Run(SetStream& stream,
         1.0, config_.min_gain_fraction *
                  static_cast<double>(uncovered.CountSet()));
     if (static_cast<double>(gain) >= needed) {
-      solution.chosen.push_back(item.id);
-      meter.SetCategory(solution.size() * sizeof(SetId), kSolutionCat);
+      run.Take(item.id);
       item.set.AndNotInto(uncovered);
       ctx.RecordTake(gain);
     }
   });
 
-  result.solution = std::move(solution);
-  result.feasible = uncovered.None();
-  result.stats.passes = stream.passes() - passes_before;
-  result.stats.peak_space_bytes = meter.peak();
-  result.stats.wall_seconds = timer.ElapsedSeconds();
-  result.stats.counters = ctx.counters();
-  return result;
+  return run.Finish();
 }
 
 }  // namespace streamsc

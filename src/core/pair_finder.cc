@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "core/cover_run.h"
 #include "obs/trace.h"
 #include "stream/engine_context.h"
 #include "util/arena.h"
@@ -32,11 +33,11 @@ PairFinderResult ExactPairFinder::Run(SetStream& stream,
   const std::size_t n = stream.universe_size();
   const std::size_t m = stream.num_sets();
   const std::size_t p = std::min(config_.passes, std::max<std::size_t>(n, 1));
-  const std::uint64_t passes_before = stream.passes();
 
   PairFinderResult result;
-  SpaceMeter meter;
-  EngineContext ctx(stream, context);
+  StreamRun run(stream, context);
+  EngineContext& ctx = run.ctx();
+  SpaceMeter& meter = run.meter();
   result.solution = Solution(ctx.alloc<SetId>());
 
   // Candidate pairs (i <= j) surviving all chunks seen so far. Seeded from
@@ -188,9 +189,7 @@ PairFinderResult ExactPairFinder::Run(SetStream& stream,
       result.solution.chosen[0] == result.solution.chosen[1]) {
     result.solution.chosen.pop_back();  // single-set cover
   }
-  result.passes = stream.passes() - passes_before;
-  result.peak_space_bytes = meter.peak();
-  result.counters = ctx.counters();
+  result.stats = run.Stats();
   return result;
 }
 

@@ -2,20 +2,12 @@
 
 #include <algorithm>
 
+#include "core/cover_run.h"
 #include "obs/trace.h"
 #include "stream/engine_context.h"
 #include "util/check.h"
-#include "util/space_meter.h"
-#include "util/stopwatch.h"
 
 namespace streamsc {
-namespace {
-
-// Interned metering categories (hot path: array index per Charge).
-const SpaceCategory kUncoveredCat("uncovered");
-const SpaceCategory kSolutionCat("solution");
-
-}  // namespace
 
 ThresholdGreedySetCover::ThresholdGreedySetCover(ThresholdGreedyConfig config)
     : config_(config) {
@@ -30,27 +22,15 @@ std::string ThresholdGreedySetCover::name() const {
 
 SetCoverRunResult ThresholdGreedySetCover::Run(SetStream& stream,
                                                const RunContext& context) {
-  Stopwatch timer;
-  const std::size_t n = stream.universe_size();
-  const std::uint64_t passes_before = stream.passes();
-
-  SetCoverRunResult result;
-  SpaceMeter meter;
-  EngineContext ctx(stream, context);
-  DynamicBitset uncovered =
-      DynamicBitset::Full(n, ctx.alloc<DynamicBitset::Word>());
-  meter.Charge(uncovered.ByteSize(), kUncoveredCat);
-  Solution solution(ctx.alloc<SetId>());
-
-  const auto take = [&](SetId id) {
-    solution.chosen.push_back(id);
-    meter.SetCategory(solution.size() * sizeof(SetId), kSolutionCat);
-  };
+  CoverRun run(stream, context);
+  EngineContext& ctx = run.ctx();
+  DynamicBitset& uncovered = run.uncovered();
+  const auto take = [&](SetId id) { run.Take(id); };
 
   // Thresholds n, n/β, n/β², ..., ending with a final pass at exactly 1 —
   // one pass each. A set is taken the moment its marginal gain meets the
   // current threshold, which emulates offline greedy within a factor β.
-  double threshold = static_cast<double>(n);
+  double threshold = static_cast<double>(stream.universe_size());
   std::uint64_t round = 0;
   while (!uncovered.None()) {
     TraceSpan round_span(ctx.trace(), TraceCategory::kPhase,
@@ -63,13 +43,7 @@ SetCoverRunResult ThresholdGreedySetCover::Run(SetStream& stream,
     threshold /= config_.beta;
   }
 
-  result.solution = std::move(solution);
-  result.feasible = uncovered.None();
-  result.stats.passes = stream.passes() - passes_before;
-  result.stats.peak_space_bytes = meter.peak();
-  result.stats.wall_seconds = timer.ElapsedSeconds();
-  result.stats.counters = ctx.counters();
-  return result;
+  return run.Finish();
 }
 
 }  // namespace streamsc

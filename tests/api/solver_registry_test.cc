@@ -89,6 +89,27 @@ void ExpectSameOutcome(const SolverOutcome& direct,
 // ---------------------------------------------------------------------------
 // Completeness + listing.
 
+// The empty universe is covered by the empty solution, and every
+// set-cover solver must find it: the guess-driven ones have to try at
+// least õpt = 1 when n = 0.
+TEST(SolverRegistryTest, SetCoverSolversCoverAnEmptyUniverse) {
+  SetSystem system(0);
+  system.AddSetFromIndices({});
+  system.AddSetFromIndices({});
+  for (const char* name : {"assadi", "har_peled", "demaine", "emek_rosen",
+                           "one_pass", "threshold_greedy"}) {
+    SCOPED_TRACE(name);
+    StatusOr<std::unique_ptr<AnySolver>> solver =
+        SolverRegistry::Global().Create(name, {});
+    ASSERT_TRUE(solver.ok()) << solver.status().ToString();
+    VectorSetStream stream(system);
+    StatusOr<SolveReport> report = (*solver)->Run(stream, RunContext{});
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_TRUE(report->feasible);
+    EXPECT_TRUE(report->solution.chosen.empty());
+  }
+}
+
 TEST(SolverRegistryTest, ListsAllNineSolvers) {
   const std::vector<std::string> names = SolverRegistry::Global().Names();
   ASSERT_EQ(names.size(), 9u);
@@ -297,7 +318,8 @@ TEST(SolverRegistryErrorTest, MalformedShapesAllReport) {
       {"assadi", "alpha="},                   // empty value
       {"assadi", "alpha=-1"},                 // negative uint
       {"assadi", "alpha=2.5"},                // fractional uint
-      {"assadi", "epsilon=0"},                // open lower bound
+      {"assadi", "epsilon=0"},                // below machine epsilon
+      {"assadi", "epsilon=1e-17"},            // 1 + eps rounds to 1
       {"assadi", "epsilon=nan"},              // non-finite double
       {"assadi", "epsilon=x"},                // not a number
       {"assadi", "use_exact_subsolver=maybe"},// bad bool literal
@@ -307,6 +329,7 @@ TEST(SolverRegistryErrorTest, MalformedShapesAllReport) {
       {"one_pass", "min_gain_fraction=1.5"},  // above range
       {"one_pass", "min_gain_fraction=-0.1"}, // below range
       {"sieve_mc", "epsilon=1"},              // open upper bound
+      {"sieve_mc", "epsilon=1e-17"},          // 1 + eps rounds to 1
       {"sieve_mc", "k=0"},                    // k must be >= 1
       {"element_sampling_mc", "epsilon=1.0"}, // open upper bound
       {"pair_finder", "passes=0"},            // p >= 1
@@ -388,6 +411,21 @@ TEST(SolverRegistryDeathTest, StructMisuseStillDiesWhereRegistryReports) {
   AssadiConfig eps_config;
   eps_config.epsilon = 0.0;
   EXPECT_DEATH(AssadiSetCover{eps_config}, "epsilon");
+
+  // An epsilon so small that 1 + epsilon == 1 would freeze the guess grid
+  // (assadi) or grow sieve lanes without bound: registry -> OutOfRange;
+  // struct -> death.
+  for (const char* solver : {"assadi", "sieve_mc"}) {
+    StatusOr<std::unique_ptr<AnySolver>> tiny =
+        SolverRegistry::Global().Create(solver, {"epsilon=1e-17"});
+    ASSERT_FALSE(tiny.ok()) << solver;
+    EXPECT_EQ(tiny.status().code(), StatusCode::kOutOfRange) << solver;
+  }
+  eps_config.epsilon = 1e-17;
+  EXPECT_DEATH(AssadiSetCover{eps_config}, "epsilon");
+  SieveMcConfig sieve_config;
+  sieve_config.epsilon = 1e-17;
+  EXPECT_DEATH(SieveMaxCoverage{sieve_config}, "epsilon");
 
   // emek_rosen threshold > n is stream-dependent: registry -> Status at
   // Run(); struct -> death at Run().

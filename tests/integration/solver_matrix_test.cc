@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include "api/solver_registry.h"
-#include "instance/generators.h"
 #include "stream/engine_context.h"
 #include "testing/solver_matrix.h"
 #include "util/random.h"
@@ -20,23 +19,10 @@
 namespace streamsc {
 namespace {
 
+using testing::MatrixInstance;
 using testing::RegistrySolverFn;
 using testing::RunConformanceMatrix;
 using testing::SolverOutcome;
-
-// A mixed-density instance: sparse planted blocks plus a dense
-// every-other-element set, so the matrix exercises both payload
-// representations on every source (text files always stream dense; the
-// hybrid and mmap stores sparsify below the density threshold).
-SetSystem MatrixInstance(std::size_t n, std::size_t m, std::size_t opt,
-                         std::uint64_t seed) {
-  Rng rng(seed);
-  SetSystem system = PlantedCoverInstance(n, m, opt, rng);
-  std::vector<ElementId> half;
-  for (ElementId e = 0; e < n; e += 2) half.push_back(e);
-  system.AddSetFromIndices(half);
-  return system;
-}
 
 // An instance whose optimum is a planted *pair*, for the exact pair
 // finder: two sets split the universe; decoys miss at least one element.

@@ -14,6 +14,7 @@
 #include "api/solve_session.h"
 #include "api/solver_registry.h"
 #include "core/pair_finder.h"
+#include "instance/generators.h"
 #include "instance/serialization.h"
 #include "instance/set_system.h"
 #include "obs/trace.h"
@@ -25,6 +26,7 @@
 #include "stream/stream_algorithm.h"
 #include "testing/scoped_temp_dir.h"
 #include "util/bitset.h"
+#include "util/random.h"
 
 /// \file solver_matrix.h
 /// The cross-algorithm conformance matrix: one harness that proves, for
@@ -59,6 +61,20 @@
 namespace streamsc {
 namespace testing {
 
+/// A mixed-density instance: sparse planted blocks plus a dense
+/// every-other-element set, so the matrix exercises both payload
+/// representations on every source (text files always stream dense; the
+/// hybrid and mmap stores sparsify below the density threshold).
+inline SetSystem MatrixInstance(std::size_t n, std::size_t m, std::size_t opt,
+                                std::uint64_t seed) {
+  Rng rng(seed);
+  SetSystem system = PlantedCoverInstance(n, m, opt, rng);
+  std::vector<ElementId> half;
+  for (ElementId e = 0; e < n; e += 2) half.push_back(e);
+  system.AddSetFromIndices(half);
+  return system;
+}
+
 /// The observable outcome of one solver run, reduced to the fields the
 /// determinism contract covers. wall_seconds and other scheduling-
 /// dependent measurements are intentionally absent.
@@ -84,37 +100,33 @@ inline void ReadEngineCounters(const CounterSet& counters,
   out->elements_covered = counters.value(engine_counters::ElementsCovered());
 }
 
+/// The canonical outcome of a run that reports a StreamRunStats.
+inline SolverOutcome ToOutcome(const Solution& solution, bool feasible,
+                               const StreamRunStats& stats,
+                               std::uint64_t extra) {
+  SolverOutcome out;
+  out.chosen = solution.chosen;
+  out.feasible = feasible;
+  out.passes = stats.passes;
+  ReadEngineCounters(stats.counters, &out);
+  out.peak_space_bytes = stats.peak_space_bytes;
+  out.extra = extra;
+  return out;
+}
+
 /// Adapters from the three run-result shapes to the canonical outcome.
 inline SolverOutcome ToOutcome(const SetCoverRunResult& r) {
-  SolverOutcome out;
-  out.chosen = r.solution.chosen;
-  out.feasible = r.feasible;
-  out.passes = r.stats.passes;
-  ReadEngineCounters(r.stats.counters, &out);
-  out.peak_space_bytes = r.stats.peak_space_bytes;
-  return out;
+  return ToOutcome(r.solution, r.feasible, r.stats, 0);
 }
 
 inline SolverOutcome ToOutcome(const MaxCoverageRunResult& r) {
-  SolverOutcome out;
-  out.chosen = r.solution.chosen;
-  out.feasible = !r.solution.chosen.empty();
-  out.passes = r.stats.passes;
-  ReadEngineCounters(r.stats.counters, &out);
-  out.peak_space_bytes = r.stats.peak_space_bytes;
-  out.extra = r.coverage;
-  return out;
+  return ToOutcome(r.solution, !r.solution.chosen.empty(), r.stats,
+                   r.coverage);
 }
 
 inline SolverOutcome ToOutcome(const PairFinderResult& r) {
-  SolverOutcome out;
-  out.chosen = r.solution.chosen;
-  out.feasible = r.found;
-  out.passes = r.passes;
-  ReadEngineCounters(r.counters, &out);
-  out.peak_space_bytes = r.peak_space_bytes;
-  out.extra = r.candidates_after_first_pass;
-  return out;
+  return ToOutcome(r.solution, r.found, r.stats,
+                   r.candidates_after_first_pass);
 }
 
 inline SolverOutcome ToOutcome(const SolveReport& r) {
