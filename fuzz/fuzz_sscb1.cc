@@ -1,9 +1,9 @@
 // Fuzz harness for the sscb1 binary reader (storage/), the second
 // untrusted-input surface: header, offset index, and payload validation
-// in MmapSetStream / LoadBinarySetSystem. Contract under attack: any byte
-// string either validates end to end — after which every set view must be
-// in bounds — or is rejected with a non-empty Status at open; nothing may
-// abort, and the two readers must agree on acceptance.
+// in MmapSetStream (sscb1::ValidatePayload, shared with the sscd1 reader).
+// Contract under attack: any byte string either validates end to end —
+// after which every set view must serve strictly increasing in-bounds ids
+// — or is rejected with a non-empty Status at open; nothing may abort.
 //
 // MmapSetStream reads from a file, so each input is staged through one
 // per-process scratch file (same page-cache-hot inode every iteration).
@@ -53,28 +53,28 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   }
 
   // Validated file: every view the stream serves must stay inside the
-  // declared universe — walk one full pass and touch every element.
+  // declared universe and enumerate in strictly increasing order (what the
+  // sparse kernels assume) — walk one full pass and touch every element.
   const std::size_t n = stream.universe_size();
   stream.BeginPass();
   streamsc::StreamItem item;
   std::size_t sets_seen = 0;
   while (stream.Next(&item)) {
     ++sets_seen;
-    item.set.ForEach([n](std::size_t element) {
+    std::size_t count = 0;
+    std::size_t previous = 0;
+    item.set.ForEach([&](std::size_t element) {
       STREAMSC_CHECK(element < n,
                      "validated sscb1 payload served an out-of-range id");
+      STREAMSC_CHECK(count == 0 || element > previous,
+                     "validated sscb1 payload served unsorted ids");
+      previous = element;
+      ++count;
     });
+    STREAMSC_CHECK(count == item.set.CountSet(),
+                   "sscb1 view count disagrees with its elements");
   }
   STREAMSC_CHECK(sets_seen == stream.num_sets(),
                  "sscb1 pass length disagrees with the index");
-
-  // The SetSystem loader re-validates the same bytes; the two readers
-  // accepting different files would mean one of them under-validates.
-  const streamsc::StatusOr<streamsc::SetSystem> loaded =
-      streamsc::LoadBinarySetSystem(ScratchPath());
-  STREAMSC_CHECK(loaded.ok(),
-                 "MmapSetStream accepted a file LoadBinarySetSystem rejects");
-  STREAMSC_CHECK(loaded->num_sets() == sets_seen,
-                 "sscb1 readers disagree on the set count");
   return 0;
 }

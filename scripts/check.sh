@@ -61,7 +61,8 @@ compiler_supports_sanitizer() {
 # solver (2-thread session pool) over a tiny generated instance. The
 # instance plants a 2-set optimum so every solver, including pair_finder,
 # genuinely succeeds; any solver erroring or reporting infeasible fails
-# the run. The six set-cover solvers also solve an n = 0 instance.
+# the run. The six set-cover solvers and pair_finder also solve an n = 0
+# instance, and a duplicate-id ssc1 file must fail convert and solve.
 run_registry_smoke() {
   local build_dir="$1"
   local tool="${build_dir}/examples/workload_tool"
@@ -81,9 +82,27 @@ run_registry_smoke() {
   printf 'ssc1 0 2\n0\n0\n' > "${tmp}/empty.ssc"
   "${tool}" convert "${tmp}/empty.ssc" "${tmp}/empty.sscb1" >/dev/null
   for solver in assadi har_peled demaine emek_rosen one_pass \
-      threshold_greedy; do
+      threshold_greedy pair_finder; do
     echo "registry smoke (${build_dir}): ${solver} on an empty universe"
     "${tool}" solve "${tmp}/empty.sscb1" "${solver}" >/dev/null
+  done
+  # One ssc1 reader: a duplicate element id is rejected by convert and by
+  # solve at every width (threads=1 streams the file, threads=2 loads it),
+  # even though the sets read as {0,1} and {2,3} would cover the universe.
+  printf 'ssc1 4 2\n3 0 0 1\n2 2 3\n' > "${tmp}/duplicate.ssc"
+  echo "registry smoke (${build_dir}): duplicate-id ssc1 is rejected"
+  if "${tool}" convert "${tmp}/duplicate.ssc" "${tmp}/duplicate.sscb1" \
+      >/dev/null 2>&1; then
+    echo "convert accepted a duplicate-id ssc1 file" >&2
+    return 1
+  fi
+  local threads
+  for threads in 1 2; do
+    if "${tool}" solve "${tmp}/duplicate.ssc" one_pass "threads=${threads}" \
+        >/dev/null 2>&1; then
+      echo "solve threads=${threads} accepted a duplicate-id ssc1 file" >&2
+      return 1
+    fi
   done
   # Traced solve through the same CLI surface: arms a TraceRecorder
   # (--trace/--stats), then proves the chrome-trace sidecar is loadable

@@ -293,6 +293,17 @@ StatusOr<SolveReport> SolveSession::Solve(
     const Status status = EnsureBufferable();
     if (!status.ok()) return status;
   }
+  // A text source reports parse errors only through status(), and a
+  // solver may end its passes before a defect late in the file. One full
+  // pass before the first run makes threads=1 reject exactly what
+  // LoadSetSystem rejects at threads > 1, instead of solving a prefix.
+  if (file_stream_ != nullptr && !file_stream_->fully_parsed()) {
+    file_stream_->BeginPass();
+    StreamItem item;
+    while (file_stream_->Next(&item)) {
+    }
+    if (!file_stream_->status().ok()) return file_stream_->status();
+  }
 
   // The engine lives exactly as long as this run — the session is the
   // single owner of execution resources, which is what makes per-run
@@ -336,13 +347,6 @@ StatusOr<SolveReport> SolveSession::Solve(
         std::to_string(e.attempted()) + " bytes)");
   }
   if (!report.ok()) return report.status();
-  // A text source reports first-pass parse errors (truncated body,
-  // garbage lines) only through status(): Next() just ends the pass
-  // early. Without this check a corrupt ssc1 file would yield an
-  // ok-looking report computed over a silent prefix of the instance.
-  if (file_stream_ != nullptr && !file_stream_->status().ok()) {
-    return file_stream_->status();
-  }
   if (overlay_ != nullptr) {
     FinishOverlayRun(solver, solver_args, &*report);
   }

@@ -142,7 +142,9 @@ class SolveSession {
   /// Runs registered solver \p solver with \p args (key=value strings;
   /// session keys like `threads=8` are split off, everything else is the
   /// solver's). Owns the engine for the duration of the run and stamps
-  /// `source` and `threads` into the returned report.
+  /// `source` and `threads` into the returned report. An ssc1 source is
+  /// parsed end to end before its first run, so a malformed file is an
+  /// InvalidArgument at every thread count.
   StatusOr<SolveReport> Solve(const std::string& solver,
                               const std::vector<std::string>& args);
 

@@ -39,6 +39,13 @@ PairFinderResult ExactPairFinder::Run(SetStream& stream,
   EngineContext& ctx = run.ctx();
   SpaceMeter& meter = run.meter();
   result.solution = Solution(ctx.alloc<SetId>());
+  if (n == 0) {
+    // The empty solution covers the empty universe; with no chunk of
+    // nonzero width there is nothing to seed candidates from.
+    result.found = true;
+    result.stats = run.Stats();
+    return result;
+  }
 
   // Candidate pairs (i <= j) surviving all chunks seen so far. Seeded from
   // the first chunk instead of materializing all m² pairs. Run-lived:

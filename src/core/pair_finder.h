@@ -36,7 +36,8 @@ struct PairFinderConfig {
 /// Outcome of a pair-finder run.
 struct PairFinderResult {
   Solution solution;          ///< The covering pair (empty if none).
-  bool found = false;         ///< True iff a size-2 cover exists & found.
+  bool found = false;         ///< True iff a cover of <= 2 sets was found
+                              ///< (the empty cover when n = 0).
   std::uint64_t candidates_after_first_pass = 0;
   StreamRunStats stats;
 };

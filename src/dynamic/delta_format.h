@@ -90,17 +90,6 @@ struct RecordHeader {
 };
 static_assert(sizeof(RecordHeader) == 24, "sscd1 record layout drifted");
 
-/// Bytes of one whole record (header + padded payload) for a dense
-/// payload over a universe of \p n bits.
-constexpr std::uint64_t DenseRecordBytes(std::uint64_t n) {
-  return sizeof(RecordHeader) + sscb1::DensePayloadBytes(n);
-}
-
-/// Bytes of one whole record for a sparse payload of \p count ids.
-constexpr std::uint64_t SparseRecordBytes(std::uint64_t count) {
-  return sizeof(RecordHeader) + sscb1::SparsePayloadBytes(count);
-}
-
 /// Bytes of a remove record (no payload).
 inline constexpr std::uint64_t kRemoveRecordBytes = sizeof(RecordHeader);
 
@@ -111,8 +100,9 @@ Status ValidateHeader(const FileHeader& header, std::uint64_t actual_size);
 /// Structural validation of one record header at byte \p offset of a file
 /// of \p file_size bytes under a validated file header: type/rep tags,
 /// alignment, count ranges, exact record_bytes arithmetic, and that the
-/// whole record lies inside the file. Slot-liveness and payload-content
-/// checks need replay state and live in DeltaLog.
+/// whole record lies inside the file. Payload content is checked by
+/// sscb1::ValidatePayload; slot liveness needs replay state and lives in
+/// DeltaLog.
 Status ValidateRecordHeader(const FileHeader& header,
                             const RecordHeader& record, std::uint64_t offset,
                             std::uint64_t file_size,

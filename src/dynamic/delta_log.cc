@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "util/check.h"
-#include "util/file_probe.h"
 
 namespace streamsc {
 
@@ -12,7 +11,6 @@ namespace {
 
 using sscd1::FileHeader;
 using sscd1::RecordHeader;
-using Word = DynamicBitset::Word;
 
 Status Malformed(const std::string& what) {
   return Status::InvalidArgument("sscd1: " + what);
@@ -102,12 +100,13 @@ Status DeltaLog::Load(const std::string& path) {
   base_num_sets_ = header.base_num_sets;
   record_count_ = header.record_count;
 
-  const std::size_t word_count = (universe_size_ + 63) / 64;
   std::uint64_t offset = sizeof(FileHeader);
   for (std::uint64_t i = 0; i < record_count_; ++i) {
-    const std::string where = "record " + std::to_string(i) + ": ";
+    const auto fail = [i](const std::string& what) {
+      return Malformed("record " + std::to_string(i) + ": " + what);
+    };
     if (file_.size() - offset < sizeof(RecordHeader)) {
-      return Malformed(where + "record overruns the file (truncated?)");
+      return fail("record overruns the file (truncated?)");
     }
     RecordHeader record;
     std::memcpy(&record, file_.data() + offset, sizeof(record));
@@ -118,63 +117,29 @@ Status DeltaLog::Load(const std::string& path) {
     switch (static_cast<sscd1::RecordType>(record.type)) {
       case sscd1::kRemoveSet: {
         if (record.target >= num_slots() || !slot_live(record.target)) {
-          return Malformed(where + "removes a dead or out-of-range slot " +
-                           std::to_string(record.target));
+          return fail("removes a dead or out-of-range slot " +
+                      std::to_string(record.target));
         }
         MutableSlot(record.target).live = false;
         break;
       }
       case sscd1::kAddSet:
       case sscd1::kReplaceSet: {
-        const std::byte* payload = file_.data() + offset + sizeof(record);
+        const sscb1::PayloadCheck check = sscb1::ValidatePayload(
+            file_.data() + offset + sizeof(record), record.rep, record.count,
+            universe_size_);
+        if (check.error != nullptr) return fail(check.error);
         Slot slot;
         slot.from_delta = true;
         slot.payload = static_cast<std::uint32_t>(payloads_.size());
         slot.version = i + 1;
-        if (record.rep == sscb1::kDense) {
-          const Word* words = reinterpret_cast<const Word*>(payload);
-          // Same tail invariant as sscb1: phantom bits beyond n would
-          // silently corrupt counts and projections.
-          if (universe_size_ % 64 != 0 && word_count > 0) {
-            const Word tail_mask = ~Word{0} << (universe_size_ % 64);
-            if ((words[word_count - 1] & tail_mask) != 0) {
-              return Malformed(
-                  where + "dense tail bits beyond the universe are set");
-            }
-          }
-          DenseSpan span(words, universe_size_);
-          if (span.CountSet() != record.count) {
-            return Malformed(where +
-                             "payload popcount mismatches the record count");
-          }
-          payloads_.push_back(span);
-        } else {
-          const ElementId* ids = reinterpret_cast<const ElementId*>(payload);
-          for (std::uint32_t k = 0; k < record.count; ++k) {
-            if (ids[k] >= universe_size_) {
-              return Malformed(where + "element out of range");
-            }
-            if (k > 0 && ids[k] <= ids[k - 1]) {
-              return Malformed(where + "elements not strictly increasing");
-            }
-          }
-          // The pad bytes are part of the record; require them zero so a
-          // log has exactly one byte representation per logical content.
-          const std::uint64_t raw = record.count * sizeof(ElementId);
-          const std::uint64_t padded = sscb1::SparsePayloadBytes(record.count);
-          for (std::uint64_t b = raw; b < padded; ++b) {
-            if (payload[b] != std::byte{0}) {
-              return Malformed(where + "nonzero sparse payload padding");
-            }
-          }
-          payloads_.push_back(SparseSpan(ids, record.count, universe_size_));
-        }
+        payloads_.push_back(check.view);
         if (record.type == sscd1::kAddSet) {
           appended_.push_back(slot);
         } else {
           if (record.target >= num_slots() || !slot_live(record.target)) {
-            return Malformed(where + "replaces a dead or out-of-range slot " +
-                             std::to_string(record.target));
+            return fail("replaces a dead or out-of-range slot " +
+                        std::to_string(record.target));
           }
           MutableSlot(record.target) = slot;
         }
@@ -182,7 +147,7 @@ Status DeltaLog::Load(const std::string& path) {
       }
       default:
         // Unreachable: ValidateRecordHeader rejects unknown types.
-        return Malformed(where + "unknown record type");
+        return fail("unknown record type");
     }
     offset += record.record_bytes;
   }
@@ -209,7 +174,7 @@ DeltaLogWriter::DeltaLogWriter(const std::string& path,
     : path_(path),
       universe_size_(universe_size),
       base_num_sets_(base_num_sets),
-      sparsity_threshold_(sparsity_threshold) {
+      encoder_(sparsity_threshold) {
   status_ = sscb1::CheckHostEndianness();
   if (!status_.ok()) return;
   if (universe_size > sscd1::kMaxDimension ||
@@ -239,7 +204,7 @@ DeltaLogWriter::DeltaLogWriter(const std::string& path,
 
 DeltaLogWriter::DeltaLogWriter(const std::string& path,
                                double sparsity_threshold)
-    : path_(path), sparsity_threshold_(sparsity_threshold) {
+    : path_(path), encoder_(sparsity_threshold) {
   // Full reader replay first: append mode refuses to extend a log it
   // could not itself read back, and the replay hands us the liveness
   // state the new records must be validated against.
@@ -283,46 +248,19 @@ Status DeltaLogWriter::WritePayloadRecord(sscd1::RecordType type,
     return Fail(Status::InvalidArgument(
         "sscd1: set universe size mismatches the log header"));
   }
-  const Count count = set.CountSet();
-  const bool sparse = static_cast<double>(count) <
-                      sparsity_threshold_ * static_cast<double>(universe_size_);
-
+  const sscb1::PayloadShape shape = encoder_.Shape(set);
   RecordHeader record = {};
   record.type = static_cast<std::uint16_t>(type);
-  record.rep = sparse ? sscb1::kSparse : sscb1::kDense;
+  record.rep = shape.rep;
   record.target = target;
-  record.count = static_cast<std::uint32_t>(count);
-  record.record_bytes = static_cast<std::uint32_t>(
-      sparse ? sscd1::SparseRecordBytes(count)
-             : sscd1::DenseRecordBytes(universe_size_));
-  bool written = WriteBytes(&record, sizeof(record));
-
-  if (sparse) {
-    scratch_ids_.clear();
-    scratch_ids_.reserve(static_cast<std::size_t>(count));
-    set.ForEach([&](ElementId e) { scratch_ids_.push_back(e); });
-    if (written && !scratch_ids_.empty()) {
-      written = WriteBytes(scratch_ids_.data(),
-                           scratch_ids_.size() * sizeof(ElementId));
-    }
-    const std::uint64_t raw = scratch_ids_.size() * sizeof(ElementId);
-    const std::uint64_t padded = sscb1::SparsePayloadBytes(count);
-    if (written && padded > raw) {
-      const std::uint64_t zero = 0;
-      written = WriteBytes(&zero, static_cast<std::size_t>(padded - raw));
-    }
-  } else if (const DenseSpan* words = set.dense_span()) {
-    written = written && WriteBytes(words->WordData(),
-                                    words->WordCount() * sizeof(Word));
-  } else {
-    // Sparse-represented set dense enough to store dense: materialize once.
-    const DynamicBitset materialized = set.ToDense();
-    written = written && WriteBytes(materialized.WordData(),
-                                    materialized.WordCount() * sizeof(Word));
-  }
-  if (!written) {
+  record.count = shape.count;
+  record.record_bytes =
+      static_cast<std::uint32_t>(sizeof(RecordHeader) + shape.bytes);
+  if (!WriteBytes(&record, sizeof(record)) ||
+      !encoder_.Write(set, shape, out_)) {
     return Fail(Status::Internal("write to '" + path_ + "' failed"));
   }
+  offset_ += shape.bytes;
   ++record_count_;
   return status_;
 }
@@ -388,18 +326,6 @@ Status DeltaLogWriter::Finish() {
   }
   out_.close();
   return status_;
-}
-
-bool IsDeltaLogFile(const std::string& path) {
-  // Probe before the blocking open, same as the sscb1 sniff: an ifstream
-  // open of an unfed FIFO hangs forever.
-  if (!ProbeRegularFile(path).ok()) return false;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  unsigned char magic[sizeof(sscd1::kMagic)] = {};
-  in.read(reinterpret_cast<char*>(magic), sizeof(magic));
-  return in.gcount() == sizeof(magic) &&
-         std::memcmp(magic, sscd1::kMagic, sizeof(magic)) == 0;
 }
 
 }  // namespace streamsc

@@ -195,19 +195,15 @@ class DeltaLogWriter {
   std::string path_;
   std::size_t universe_size_ = 0;
   std::uint64_t base_num_sets_ = 0;
-  double sparsity_threshold_ = 0.0;
+  sscb1::PayloadEncoder encoder_;
   std::uint64_t offset_ = 0;  // current write position (== file size)
   std::uint64_t record_count_ = 0;
   // Liveness as (slot count, tombstone set): like the reader's slot
   // table, memory scales with the mutations, not the claimed base size.
   std::uint64_t num_slots_ = 0;
   std::unordered_set<std::uint64_t> dead_;
-  std::vector<ElementId> scratch_ids_;  // reused per sparse payload
   bool finished_ = false;
 };
-
-/// True iff \p path starts with the sscd1 magic (cheap format sniff).
-bool IsDeltaLogFile(const std::string& path);
 
 }  // namespace streamsc
 

@@ -2,9 +2,11 @@
 #define STREAMSC_INSTANCE_SERIALIZATION_H_
 
 #include <iosfwd>
+#include <sstream>
 #include <string>
 
 #include "instance/set_system.h"
+#include "util/bitset.h"
 #include "util/status.h"
 
 /// \file serialization.h
@@ -18,10 +20,60 @@
 ///   <k> <e_1> <e_2> ... <e_k>     # one line per set, elements ascending
 ///   ...
 ///
-/// Element ids are 0-based and must be < n. The set count on the header
-/// line must match the number of set lines.
+/// Ssc1Reader is the only parser of the format: ReadSetSystem and the
+/// streaming FileSetStream both read through it, so every reader of an
+/// ssc1 file accepts and rejects exactly the same documents.
 
 namespace streamsc {
+
+/// Incremental ssc1 parser over a std::istream: the header, then one set
+/// line per ReadSet() call, then ReadEnd(). Every rule of the format lives
+/// here — n, m <= 2^31; exactly k distinct 0-based ids < n per set line
+/// and no trailing tokens; exactly m set lines; only blank and comment
+/// lines after the last set. Violations are InvalidArgument with a
+/// line-numbered message. Holds one line at a time.
+class Ssc1Reader {
+ public:
+  /// Reads from \p in, which must outlive the reader.
+  explicit Ssc1Reader(std::istream& in) : in_(&in) {}
+
+  /// Parses the header line. Call once, first.
+  Status ReadHeader();
+
+  /// Universe size n from the header (0 before ReadHeader()).
+  std::size_t universe_size() const { return universe_size_; }
+
+  /// Set count m from the header (0 before ReadHeader()).
+  std::size_t num_sets() const { return num_sets_; }
+
+  /// Parses the next set line into \p set, overwriting it. Precondition:
+  /// set->size() == universe_size(), fewer than num_sets() sets read.
+  Status ReadSet(DynamicBitset* set);
+
+  /// Checks that only blank and comment lines follow the last set. Call
+  /// after num_sets() successful ReadSet() calls.
+  Status ReadEnd();
+
+ private:
+  // Reads the next non-comment, non-blank line into line_; false at end
+  // of stream.
+  bool NextContentLine();
+  Status MalformedAt(const std::string& what) const;
+
+  std::istream* in_;
+  std::string line_;
+  std::istringstream row_;  // reused across lines
+  std::size_t line_number_ = 0;
+  std::size_t universe_size_ = 0;
+  std::size_t num_sets_ = 0;
+  std::size_t sets_read_ = 0;
+};
+
+/// Opens \p path for ssc1 reading into \p in (closing whatever it held).
+/// Probes first (util/file_probe.h): a FIFO, directory or device is an
+/// immediate InvalidArgument instead of a blocked open. NotFound if the
+/// file cannot be opened.
+Status OpenSsc1File(const std::string& path, std::ifstream* in);
 
 /// Writes \p system to \p out. Always succeeds on a good stream.
 void WriteSetSystem(const SetSystem& system, std::ostream& out);
@@ -29,9 +81,7 @@ void WriteSetSystem(const SetSystem& system, std::ostream& out);
 /// Serializes to a string (convenience wrapper over WriteSetSystem).
 std::string SetSystemToString(const SetSystem& system);
 
-/// Parses an "ssc1" stream. Returns InvalidArgument with a line-numbered
-/// message on malformed input (bad magic, out-of-range element, set count
-/// mismatch, trailing garbage).
+/// Parses a whole "ssc1" document with Ssc1Reader.
 StatusOr<SetSystem> ReadSetSystem(std::istream& in);
 
 /// Parses from a string (convenience wrapper over ReadSetSystem).

@@ -3,8 +3,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <iosfwd>
+#include <string>
+#include <vector>
 
 #include "util/common.h"
+#include "util/set_view.h"
 #include "util/status.h"
 
 /// \file binary_format.h
@@ -25,6 +29,10 @@
 ///   kDense  — ceil(n/64) 64-bit words, tail bits beyond n zero.
 ///   kSparse — count sorted, duplicate-free 32-bit element ids, zero-padded
 ///             to the next 8-byte boundary.
+///
+/// The sscd1 delta log (dynamic/delta_format.h) stores its payloads under
+/// the same rules, so PayloadEncoder and ValidatePayload below are the one
+/// writer and the one checker of set payloads for both formats.
 ///
 /// The index lives at the *end* of the file (header field index_offset)
 /// so a writer can stream payloads without knowing their sizes up front,
@@ -75,14 +83,14 @@ struct SetIndexEntry {
 };
 static_assert(sizeof(SetIndexEntry) == 16, "sscb1 index layout drifted");
 
-/// Bytes of a dense payload for a universe of \p n bits.
-constexpr std::uint64_t DensePayloadBytes(std::uint64_t n) {
-  return (n + 63) / 64 * sizeof(std::uint64_t);
-}
-
-/// Bytes of a sparse payload of \p count ids, including alignment padding.
-constexpr std::uint64_t SparsePayloadBytes(std::uint64_t count) {
-  const std::uint64_t raw = count * sizeof(std::uint32_t);
+/// Bytes of a \p rep payload of \p count ids over a universe of \p n
+/// bits: ceil(n/64) words if dense, else count ids plus the padding to
+/// the next 8-byte boundary.
+constexpr std::uint64_t PayloadBytes(std::uint16_t rep, std::uint64_t n,
+                                     std::uint64_t count) {
+  const std::uint64_t raw = rep == kDense
+                                ? (n + 63) / 64 * sizeof(std::uint64_t)
+                                : count * sizeof(std::uint32_t);
   return (raw + kPayloadAlign - 1) / kPayloadAlign * kPayloadAlign;
 }
 
@@ -91,7 +99,7 @@ Status CheckHostEndianness();
 
 /// Structural validation of a header against the actual byte count of the
 /// file it came from: magic, version, dimension caps, index placement.
-/// Payload-level validation happens per entry in MmapSetStream.
+/// Payload content is checked by ValidatePayload.
 Status ValidateHeader(const FileHeader& header, std::uint64_t actual_size);
 
 /// Structural validation of one index entry against a validated header:
@@ -99,6 +107,56 @@ Status ValidateHeader(const FileHeader& header, std::uint64_t actual_size);
 /// entirely inside [header size, index_offset).
 Status ValidateIndexEntry(const FileHeader& header, const SetIndexEntry& entry,
                           std::size_t set_id);
+
+/// How one set is stored: what its index entry or record header records.
+struct PayloadShape {
+  Rep rep = kDense;
+  std::uint32_t count = 0;
+  std::uint64_t bytes = 0;  ///< PayloadBytes(rep, n, count).
+};
+
+/// Writes set payloads (sscb1 and sscd1 alike). Reuses one id buffer
+/// across sets.
+class PayloadEncoder {
+ public:
+  /// A set is stored sparse iff its count < \p sparsity_threshold * n,
+  /// the same rule as SetSystem.
+  explicit PayloadEncoder(double sparsity_threshold)
+      : sparsity_threshold_(sparsity_threshold) {}
+
+  /// The representation, count and payload size \p set is stored with.
+  PayloadShape Shape(SetView set) const;
+
+  /// Writes \p set's payload in \p shape (from Shape(set)) to \p out:
+  /// the dense words, or the sorted ids plus zero padding. Returns false
+  /// iff the stream failed.
+  bool Write(SetView set, const PayloadShape& shape, std::ostream& out);
+
+ private:
+  double sparsity_threshold_;
+  std::vector<ElementId> scratch_ids_;
+};
+
+/// Result of ValidatePayload: the payload as a view, or why it is bad.
+struct PayloadCheck {
+  SetView view;                  ///< Valid iff error is null.
+  const char* error = nullptr;   ///< Static reason text on failure.
+};
+
+/// Checks the content of one payload of \p count elements stored as
+/// \p rep over a universe of \p universe_size bits. Dense: tail bits
+/// beyond n are zero and the popcount equals count. Sparse: ids are in
+/// range and strictly increasing, and the padding is zero. The caller has
+/// already checked that the PayloadBytes() bytes at \p payload lie inside
+/// the file and are 8-byte aligned. No string is built: the caller adds
+/// its location to the reason only on failure.
+PayloadCheck ValidatePayload(const std::byte* payload, std::uint16_t rep,
+                             std::uint32_t count, std::size_t universe_size);
+
+/// True iff \p path is a regular file starting with the 8 bytes of
+/// \p magic (the format sniff for sscb1 and sscd1). Probes before the
+/// blocking open, so a FIFO path answers false at once.
+bool FileHasMagic(const std::string& path, const unsigned char (&magic)[8]);
 
 }  // namespace sscb1
 }  // namespace streamsc

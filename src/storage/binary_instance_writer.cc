@@ -30,7 +30,7 @@ BinaryInstanceWriter::BinaryInstanceWriter(const std::string& path,
     : path_(path),
       universe_size_(universe_size),
       num_sets_(num_sets),
-      sparsity_threshold_(sparsity_threshold) {
+      encoder_(sparsity_threshold) {
   status_ = sscb1::CheckHostEndianness();
   if (!status_.ok()) return;
   if (universe_size > sscb1::kMaxDimension || num_sets > sscb1::kMaxDimension) {
@@ -77,42 +77,15 @@ Status BinaryInstanceWriter::AddSet(SetView set) {
         "sscb1: more AddSet calls than the declared set count"));
   }
 
-  const Count count = set.CountSet();
-  const bool sparse = static_cast<double>(count) <
-                      sparsity_threshold_ * static_cast<double>(universe_size_);
-
+  const sscb1::PayloadShape shape = encoder_.Shape(set);
   SetIndexEntry entry = {};
   entry.offset = offset_;
-  entry.count = static_cast<std::uint32_t>(count);
-  entry.rep = sparse ? sscb1::kSparse : sscb1::kDense;
-
-  bool written = true;
-  if (sparse) {
-    scratch_ids_.clear();
-    scratch_ids_.reserve(static_cast<std::size_t>(count));
-    set.ForEach([&](ElementId e) { scratch_ids_.push_back(e); });
-    if (!scratch_ids_.empty()) {
-      written = WriteBytes(scratch_ids_.data(),
-                           scratch_ids_.size() * sizeof(ElementId));
-    }
-    const std::uint64_t raw = scratch_ids_.size() * sizeof(ElementId);
-    const std::uint64_t padded = sscb1::SparsePayloadBytes(count);
-    if (written && padded > raw) {
-      const std::uint64_t zero = 0;
-      written = WriteBytes(&zero, static_cast<std::size_t>(padded - raw));
-    }
-  } else if (const DenseSpan* words = set.dense_span()) {
-    written = WriteBytes(words->WordData(),
-                         words->WordCount() * sizeof(DynamicBitset::Word));
-  } else {
-    // Sparse-represented set dense enough to store dense: materialize once.
-    const DynamicBitset dense = set.ToDense();
-    written = WriteBytes(dense.WordData(),
-                         dense.WordCount() * sizeof(DynamicBitset::Word));
-  }
-  if (!written) {
+  entry.count = shape.count;
+  entry.rep = shape.rep;
+  if (!encoder_.Write(set, shape, out_)) {
     return Fail(Status::Internal("write to '" + path_ + "' failed"));
   }
+  offset_ += shape.bytes;
   index_.push_back(entry);
   return status_;
 }

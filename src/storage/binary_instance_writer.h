@@ -68,10 +68,9 @@ class BinaryInstanceWriter {
   std::string path_;
   std::size_t universe_size_ = 0;
   std::size_t num_sets_ = 0;
-  double sparsity_threshold_ = 0.0;
+  sscb1::PayloadEncoder encoder_;
   std::uint64_t offset_ = 0;  // current write position
   std::vector<sscb1::SetIndexEntry> index_;
-  std::vector<ElementId> scratch_ids_;  // reused per sparse payload
   bool finished_ = false;
 };
 

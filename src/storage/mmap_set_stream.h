@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "instance/set_system.h"
 #include "storage/binary_format.h"
 #include "storage/mmap_file.h"
 #include "stream/set_stream.h"
@@ -29,10 +28,11 @@
 ///     validation, plus whatever pages the OS keeps warm — never O(mn),
 ///     preserving the streaming model's honesty at multi-GB scale.
 ///
-/// The whole file structure (header, index, every payload's bounds, sparse
-/// sortedness, dense tail bits) is validated once at construction; after
-/// an Ok status() no later operation can read out of bounds, so a corrupt
-/// or truncated file is rejected up front instead of aborting mid-pass.
+/// The whole file structure (header, index, every payload's bounds, and
+/// every payload's content through sscb1::ValidatePayload) is validated
+/// once at construction; after an Ok status() no later operation can read
+/// out of bounds, so a corrupt or truncated file is rejected up front
+/// instead of aborting mid-pass.
 /// That validation is one sequential read of the file — a deliberate
 /// trade: open costs O(file) once (still far cheaper than a single text
 /// parse, and it doubles as page-cache warmup), and in exchange the
@@ -134,12 +134,9 @@ class MmapStreamView : public SetStream {
 
 /// True iff \p path starts with the sscb1 magic (cheap format sniff for
 /// tools that accept both text and binary instances).
-bool IsBinaryInstanceFile(const std::string& path);
-
-/// Reads an sscb1 file into an in-memory SetSystem (for tool paths that
-/// need the offline solvers). The inverse of BinaryInstanceWriter::
-/// WriteSystem up to representation choices.
-StatusOr<SetSystem> LoadBinarySetSystem(const std::string& path);
+inline bool IsBinaryInstanceFile(const std::string& path) {
+  return sscb1::FileHasMagic(path, sscb1::kMagic);
+}
 
 }  // namespace streamsc
 

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <string>
 
+#include "instance/serialization.h"
 #include "stream/set_stream.h"
 #include "util/status.h"
 
@@ -17,15 +18,18 @@
 namespace streamsc {
 
 /// Streams an ssc1 file (see instance/serialization.h), re-reading it on
-/// every pass. Holds exactly one set in memory at a time.
+/// every pass through Ssc1Reader, so it accepts exactly the documents
+/// LoadSetSystem accepts and reports the same errors. Holds exactly one
+/// set in memory at a time.
 ///
 /// Error contract: problems visible up front (missing file, bad header)
 /// and parse errors on a file no pass has yet streamed end to end report
-/// through status(). Once one pass has parsed all m sets cleanly,
-/// later failures — file deleted, truncated, or reshaped between
-/// passes — STREAMSC_CHECK-abort in all build modes: silently ending a
-/// re-read early would hand the algorithm a different instance than the
-/// one it already half-processed.
+/// through status(). The end of the document is checked when the last set
+/// is read (or at open when m = 0), so trailing content fails that read.
+/// Once one pass has parsed all m sets cleanly, later failures — file
+/// deleted, truncated, or reshaped between passes — STREAMSC_CHECK-abort
+/// in all build modes: silently ending a re-read early would hand the
+/// algorithm a different instance than the one it already half-processed.
 class FileSetStream : public SetStream {
  public:
   /// Opens \p path and validates the header eagerly; check status()
@@ -39,8 +43,14 @@ class FileSetStream : public SetStream {
   /// Ok iff the file opened and the header parsed.
   const Status& status() const { return status_; }
 
-  std::size_t universe_size() const override;
-  std::size_t num_sets() const override;
+  /// True once some pass has streamed every set and the end of the
+  /// document cleanly (the point after which parse errors abort).
+  bool fully_parsed() const { return fully_parsed_once_; }
+
+  std::size_t universe_size() const override {
+    return reader_.universe_size();
+  }
+  std::size_t num_sets() const override { return reader_.num_sets(); }
   void BeginPass() override;
   bool Next(StreamItem* item) override;
   std::uint64_t passes() const override { return passes_; }
@@ -54,9 +64,8 @@ class FileSetStream : public SetStream {
 
   std::string path_;
   Status status_;
-  std::size_t universe_size_ = 0;
-  std::size_t num_sets_ = 0;
   std::ifstream in_;
+  Ssc1Reader reader_{in_};
   DynamicBitset current_;
   SetId next_id_ = 0;
   std::uint64_t passes_ = 0;

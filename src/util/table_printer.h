@@ -8,8 +8,8 @@
 
 /// \file table_printer.h
 /// Aligned plain-text table rendering for the benchmark harness. Every
-/// experiment binary prints its results as one or more of these tables so
-/// that EXPERIMENTS.md rows can be regenerated mechanically.
+/// experiment binary (README "Benches") prints its results as one or more
+/// of these tables so their rows can be regenerated mechanically.
 
 namespace streamsc {
 

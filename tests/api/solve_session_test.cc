@@ -97,22 +97,30 @@ TEST(SolveSessionTest, OpenGarbageFileReports) {
 }
 
 TEST(SolveSessionTest, TruncatedTextBodyReportsInsteadOfSolvingAPrefix) {
-  // The ssc1 header parses (so Open() succeeds), but the body declares
-  // more sets than it contains. FileSetStream reports that only through
-  // status() after the first pass ends early — the session must surface
-  // it as a Status, not return a feasible report over the prefix.
+  // The ssc1 header parses (so Open() succeeds), but the body is bad.
+  // FileSetStream reports that only through status() — the session must
+  // surface it as a Status, not return a feasible report over the prefix.
+  // The second document's defect sits in its last line, after the point
+  // where one_pass has covered everything and stops reading; it must
+  // still fail, at threads=1 as at threads=2.
   ScopedTempDir dir;
   const std::string path = dir.FilePath("truncated.ssc");
-  {
-    std::ofstream out(path);
-    out << "ssc1 8 4\n"      // claims 4 sets...
-        << "2 0 1\n"
-        << "2 2 3\n";         // ...delivers 2
+  for (const char* text : {
+           "ssc1 8 4\n2 0 1\n2 2 3\n",  // claims 4 sets, delivers 2
+           "ssc1 4 3\n2 0 1\n2 2 3\n3 0 0 1\n",  // late duplicate id
+       }) {
+    {
+      std::ofstream out(path, std::ios::trunc);
+      out << text;
+    }
+    for (const char* threads : {"threads=1", "threads=2"}) {
+      SCOPED_TRACE(std::string(text) + threads);
+      StatusOr<SolveSession> session = SolveSession::Open(path);
+      ASSERT_TRUE(session.ok()) << session.status().ToString();
+      StatusOr<SolveReport> report = session->Solve("one_pass", {threads});
+      EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+    }
   }
-  StatusOr<SolveSession> session = SolveSession::Open(path);
-  ASSERT_TRUE(session.ok()) << session.status().ToString();
-  StatusOr<SolveReport> report = session->Solve("one_pass", {});
-  EXPECT_FALSE(report.ok());
 }
 
 TEST(SolveSessionTest, AllSourcesProduceIdenticalSolutions) {

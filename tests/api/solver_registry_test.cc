@@ -91,13 +91,13 @@ void ExpectSameOutcome(const SolverOutcome& direct,
 
 // The empty universe is covered by the empty solution, and every
 // set-cover solver must find it: the guess-driven ones have to try at
-// least õpt = 1 when n = 0.
+// least õpt = 1 when n = 0, and pair_finder has no chunk to seed from.
 TEST(SolverRegistryTest, SetCoverSolversCoverAnEmptyUniverse) {
   SetSystem system(0);
   system.AddSetFromIndices({});
   system.AddSetFromIndices({});
   for (const char* name : {"assadi", "har_peled", "demaine", "emek_rosen",
-                           "one_pass", "threshold_greedy"}) {
+                           "one_pass", "threshold_greedy", "pair_finder"}) {
     SCOPED_TRACE(name);
     StatusOr<std::unique_ptr<AnySolver>> solver =
         SolverRegistry::Global().Create(name, {});

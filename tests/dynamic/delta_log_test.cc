@@ -197,14 +197,15 @@ TEST(DeltaLogTest, SniffsDeltaLogFiles) {
   testing::ScopedTempDir dir;
   const std::string log_path = dir.FilePath("log.sscd1");
   FixtureBytes(log_path);
-  EXPECT_TRUE(IsDeltaLogFile(log_path));
+  EXPECT_TRUE(sscb1::FileHasMagic(log_path, sscd1::kMagic));
 
   SetSystem system(8);
   system.AddSetFromIndices({0, 1});
   const std::string binary_path = dir.FilePath("base.sscb1");
   ASSERT_TRUE(BinaryInstanceWriter::WriteSystem(system, binary_path).ok());
-  EXPECT_FALSE(IsDeltaLogFile(binary_path));
-  EXPECT_FALSE(IsDeltaLogFile(dir.FilePath("missing.sscd1")));
+  EXPECT_FALSE(sscb1::FileHasMagic(binary_path, sscd1::kMagic));
+  EXPECT_FALSE(
+      sscb1::FileHasMagic(dir.FilePath("missing.sscd1"), sscd1::kMagic));
 }
 
 // ---- Corruption matrix ----------------------------------------------------

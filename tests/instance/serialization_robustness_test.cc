@@ -2,9 +2,8 @@
 
 #include <string>
 
-#include "instance/generators.h"
 #include "instance/serialization.h"
-#include "util/random.h"
+#include "testing/ssc1_corpus.h"
 
 namespace streamsc {
 namespace {
@@ -12,11 +11,6 @@ namespace {
 // Failure-injection suite: the parser must never crash, hang, or return a
 // malformed SetSystem on corrupted input — only Ok-with-valid-system or a
 // clean InvalidArgument.
-
-std::string BaseDocument() {
-  Rng rng(1);
-  return SetSystemToString(UniformRandomInstance(64, 8, 12, rng));
-}
 
 // Parsing either succeeds with a self-consistent system or fails cleanly.
 void ExpectParseIsTotal(const std::string& text) {
@@ -35,52 +29,20 @@ void ExpectParseIsTotal(const std::string& text) {
 class SerializationMutationTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(SerializationMutationTest, SingleByteMutationsAreHandled) {
-  const std::string base = BaseDocument();
-  Rng rng(100 + GetParam());
-  for (int trial = 0; trial < 200; ++trial) {
-    std::string mutated = base;
-    const std::size_t pos =
-        static_cast<std::size_t>(rng.UniformInt(mutated.size()));
-    // Mutate into a printable byte or newline: structural damage without
-    // leaving the text domain the format is defined on.
-    const char replacement =
-        "0123456789 \n#x-"[rng.UniformInt(15)];
-    mutated[pos] = replacement;
-    ExpectParseIsTotal(mutated);
+  for (const std::string& text : testing::Ssc1ByteMutations(GetParam())) {
+    ExpectParseIsTotal(text);
   }
 }
 
 TEST_P(SerializationMutationTest, TruncationsAreHandled) {
-  const std::string base = BaseDocument();
-  Rng rng(200 + GetParam());
-  for (int trial = 0; trial < 50; ++trial) {
-    const std::size_t keep =
-        static_cast<std::size_t>(rng.UniformInt(base.size()));
-    ExpectParseIsTotal(base.substr(0, keep));
+  for (const std::string& text : testing::Ssc1Truncations(GetParam())) {
+    ExpectParseIsTotal(text);
   }
 }
 
 TEST_P(SerializationMutationTest, LineDeletionsAreHandled) {
-  const std::string base = BaseDocument();
-  Rng rng(300 + GetParam());
-  std::vector<std::string> lines;
-  std::size_t start = 0;
-  while (start < base.size()) {
-    const std::size_t end = base.find('\n', start);
-    lines.push_back(base.substr(start, end - start));
-    if (end == std::string::npos) break;
-    start = end + 1;
-  }
-  for (int trial = 0; trial < 20; ++trial) {
-    const std::size_t victim =
-        static_cast<std::size_t>(rng.UniformInt(lines.size()));
-    std::string mutated;
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-      if (i == victim) continue;
-      mutated += lines[i];
-      mutated += '\n';
-    }
-    ExpectParseIsTotal(mutated);
+  for (const std::string& text : testing::Ssc1LineDeletions(GetParam())) {
+    ExpectParseIsTotal(text);
   }
 }
 

@@ -134,13 +134,22 @@ TEST(BinaryStoreTest, TranscodeRejectsMissingAndMalformedText) {
       BinaryInstanceWriter::TranscodeText(bad, dir.FilePath("out2.sscb1"))
           .code(),
       StatusCode::kInvalidArgument);
-  // Truncated body: header promises 3 sets, file has 1.
-  const std::string truncated = dir.FilePath("trunc.ssc");
-  WriteFile(truncated, "ssc1 8 3\n2 0 1\n");
-  EXPECT_EQ(BinaryInstanceWriter::TranscodeText(truncated,
-                                                dir.FilePath("out3.sscb1"))
-                .code(),
-            StatusCode::kInvalidArgument);
+  // Bodies LoadSetSystem rejects: truncated (header promises 3 sets,
+  // file has 1), a duplicate id, a trailing token, a line after the last
+  // set.
+  const std::string malformed = dir.FilePath("malformed.ssc");
+  for (const char* text : {"ssc1 8 3\n2 0 1\n", "ssc1 8 2\n3 0 0 1\n1 2\n",
+                           "ssc1 8 2\n1 0 3\n1 2\n",
+                           "ssc1 8 2\n1 0\n1 2\n1 3\n"}) {
+    SCOPED_TRACE(text);
+    WriteFile(malformed, text);
+    ASSERT_EQ(LoadSetSystem(malformed).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(BinaryInstanceWriter::TranscodeText(malformed,
+                                                  dir.FilePath("out3.sscb1"))
+                  .code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(BinaryStoreTest, WriterEnforcesSetCountContract) {
@@ -270,6 +279,20 @@ TEST(BinaryStoreTest, RejectsCorruptPayloads) {
   std::memcpy(&unsorted[payload0], &dup, sizeof(dup));
   std::memcpy(&unsorted[payload0 + 4], &dup, sizeof(dup));
   ExpectRejected(path, unsorted);
+
+  // Nonzero sparse padding (ids occupy 12 of the 16 payload bytes).
+  std::string padded = good;
+  const std::uint32_t pad = 0xABABABAB;
+  std::memcpy(&padded[payload0 + 12], &pad, sizeof(pad));
+  ExpectRejected(path, padded);
+
+  // Set 1's dense payload over n=100: tail bits beyond n must be zero.
+  const std::size_t payload1 =
+      payload0 + sscb1::PayloadBytes(sscb1::kSparse, 100, 3);
+  std::string tail = good;
+  const std::uint64_t high_bit = std::uint64_t{1} << 63;
+  std::memcpy(&tail[payload1 + 8], &high_bit, sizeof(high_bit));
+  ExpectRejected(path, tail);
 }
 
 TEST(BinaryStoreTest, RejectsNonInstanceFiles) {
@@ -294,20 +317,6 @@ TEST(BinaryStoreTest, FormatSniffDistinguishesTextAndBinary) {
   EXPECT_FALSE(IsBinaryInstanceFile(text_path));
   EXPECT_TRUE(IsBinaryInstanceFile(binary_path));
   EXPECT_FALSE(IsBinaryInstanceFile(dir.FilePath("missing")));
-}
-
-TEST(BinaryStoreTest, LoadBinarySetSystemMaterializes) {
-  testing::ScopedTempDir dir;
-  Rng rng(3);
-  const SetSystem system = PlantedCoverInstance(256, 24, 4, rng);
-  const std::string path = dir.FilePath("mat.sscb1");
-  ASSERT_TRUE(BinaryInstanceWriter::WriteSystem(system, path).ok());
-  const StatusOr<SetSystem> loaded = LoadBinarySetSystem(path);
-  ASSERT_TRUE(loaded.ok());
-  ASSERT_EQ(loaded->num_sets(), system.num_sets());
-  for (SetId id = 0; id < system.num_sets(); ++id) {
-    EXPECT_TRUE(loaded->set(id) == system.set(id));
-  }
 }
 
 }  // namespace

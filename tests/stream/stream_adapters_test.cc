@@ -13,6 +13,7 @@
 #include "instance/serialization.h"
 #include "offline/verifier.h"
 #include "testing/scoped_temp_dir.h"
+#include "testing/ssc1_corpus.h"
 
 namespace streamsc {
 namespace {
@@ -168,6 +169,80 @@ TEST(FileSetStreamTest, ErrorsPastAnAbandonedPassStayQuiet) {
   EXPECT_FALSE(stream.status().ok());
   EXPECT_EQ(stream.status().code(), StatusCode::kInvalidArgument);
 }
+
+void WriteText(const std::string& path, const std::string& text) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << text;
+}
+
+TEST(FileSetStreamTest, FirstFullPassRejectsWhatLoadSetSystemRejects) {
+  // Each document has a good header, so the stream opens; the defect
+  // surfaces on the first full pass, with LoadSetSystem's own error.
+  const testing::ScopedTempDir dir;
+  const std::string path = dir.FilePath("strict.ssc");
+  for (const char* text : {
+           "ssc1 4 2\n3 0 0 1\n1 2\n",      // duplicate id
+           "ssc1 4 2\n1 0 3\n1 2\n",        // trailing token
+           "ssc1 4 2\n1 0\n1 2\n1 3\n",    // line after the last set
+       }) {
+    SCOPED_TRACE(text);
+    WriteText(path, text);
+    FileSetStream stream(path);
+    ASSERT_TRUE(stream.status().ok()) << stream.status().ToString();
+    stream.BeginPass();
+    StreamItem item;
+    while (stream.Next(&item)) {
+    }
+    EXPECT_EQ(stream.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(stream.status().ToString(),
+              LoadSetSystem(path).status().ToString());
+  }
+  // With m = 0 the header is the last line, so trailing content is
+  // visible at open.
+  WriteText(path, "ssc1 4 0\n1 0\n");
+  const FileSetStream empty(path);
+  EXPECT_EQ(empty.status().code(), StatusCode::kInvalidArgument);
+}
+
+// Every document of the parser's mutation corpus, replayed from a file: a
+// full FileSetStream pass must accept exactly what SetSystemFromString
+// accepts, serve the same sets, and fail with the same error otherwise.
+class FileSetStreamAgreementTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(FileSetStreamAgreementTest, FullPassMatchesSetSystemFromString) {
+  const testing::ScopedTempDir dir;
+  const std::string path = dir.FilePath("mutated.ssc");
+  for (const std::string& text : testing::Ssc1MutationCorpus(GetParam())) {
+    SCOPED_TRACE(text);
+    WriteText(path, text);
+    const StatusOr<SetSystem> parsed = SetSystemFromString(text);
+    FileSetStream stream(path);
+    std::size_t streamed = 0;
+    if (stream.status().ok()) {
+      stream.BeginPass();
+      StreamItem item;
+      while (stream.Next(&item)) {
+        if (parsed.ok()) {
+          ASSERT_LT(item.id, parsed->num_sets());
+          EXPECT_TRUE(item.set == parsed->set(item.id));
+        }
+        ++streamed;
+      }
+    }
+    ASSERT_EQ(stream.status().ok(), parsed.ok())
+        << stream.status().ToString() << " vs "
+        << parsed.status().ToString();
+    if (parsed.ok()) {
+      EXPECT_EQ(stream.universe_size(), parsed->universe_size());
+      EXPECT_EQ(streamed, parsed->num_sets());
+    } else {
+      EXPECT_EQ(stream.status().ToString(), parsed.status().ToString());
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FileSetStreamAgreementTest,
+                         ::testing::Range(0, 4));
 
 TEST(FileSetStreamDeathTest, TruncationBetweenPassesAborts) {
   // Once a pass has streamed cleanly, a mid-file truncation on a later
