@@ -62,7 +62,8 @@ compiler_supports_sanitizer() {
 # instance plants a 2-set optimum so every solver, including pair_finder,
 # genuinely succeeds; any solver erroring or reporting infeasible fails
 # the run. The six set-cover solvers and pair_finder also solve an n = 0
-# instance, and a duplicate-id ssc1 file must fail convert and solve.
+# instance, a duplicate-id ssc1 file must fail convert and solve, and
+# convert onto a FIFO must fail without hanging.
 run_registry_smoke() {
   local build_dir="$1"
   local tool="${build_dir}/examples/workload_tool"
@@ -94,6 +95,17 @@ run_registry_smoke() {
   if "${tool}" convert "${tmp}/duplicate.ssc" "${tmp}/duplicate.sscb1" \
       >/dev/null 2>&1; then
     echo "convert accepted a duplicate-id ssc1 file" >&2
+    return 1
+  fi
+  # Writers probe their target: convert onto a FIFO is a typed error at
+  # once, not an open that waits for a reader forever (timeout exits 124).
+  mkfifo "${tmp}/fifo"
+  echo "registry smoke (${build_dir}): convert onto a FIFO is rejected"
+  local fifo_status=0
+  timeout 5 "${tool}" convert "${tmp}/smoke.ssc" "${tmp}/fifo" \
+    >/dev/null 2>&1 || fifo_status=$?
+  if [[ "${fifo_status}" == "0" || "${fifo_status}" == "124" ]]; then
+    echo "convert onto a FIFO exited ${fifo_status}" >&2
     return 1
   fi
   local threads
@@ -185,9 +197,9 @@ run_serve_smoke() {
 # adds, a remove, a replace), solve through the composed overlay with
 # --stats and require the dynamic.* Prometheus counters, run watch mode
 # headlessly (--max-solves=1 exits after the open solve), then compact
-# the overlay to a plain sscb1 and prove the folded instance still
-# solves. Any rejected delta op, infeasible solve, or missing counter
-# fails the run.
+# the overlay to a plain sscb1 — once to a new file, once onto its own
+# base — and prove each folded instance still solves. Any rejected delta
+# op, infeasible solve, or missing counter fails the run.
 run_dynamic_smoke() {
   local build_dir="$1"
   local tool="${build_dir}/examples/workload_tool"
@@ -215,6 +227,13 @@ run_dynamic_smoke() {
   "${tool}" compact "${tmp}/base.sscb1" "${tmp}/delta.sscd1" \
     "${tmp}/compacted.sscb1" >/dev/null
   "${tool}" solve "${tmp}/compacted.sscb1" assadi alpha=2 >/dev/null
+  # Folding the log into its own base: the overlay still maps the old
+  # base while the new one is written, which the write-then-rename rule
+  # keeps safe.
+  echo "dynamic smoke (${build_dir}): compact onto the base"
+  "${tool}" compact "${tmp}/base.sscb1" "${tmp}/delta.sscd1" \
+    "${tmp}/base.sscb1" >/dev/null
+  "${tool}" solve "${tmp}/base.sscb1" assadi alpha=2 >/dev/null
 }
 
 # Project-invariant linter: cheap, dependency-free, runs on every

@@ -1,54 +1,17 @@
 #include "dynamic/delta_format.h"
 
-#include <cstring>
 #include <string>
 
 namespace streamsc {
 namespace sscd1 {
-namespace {
-
-Status Malformed(const std::string& what) {
-  return Status::InvalidArgument("sscd1: " + what);
-}
-
-}  // namespace
-
-Status ValidateHeader(const FileHeader& header, std::uint64_t actual_size) {
-  if (std::memcmp(header.magic, kMagic, sizeof(kMagic)) != 0) {
-    return Malformed("bad magic (not an sscd1 delta log)");
-  }
-  if (header.version != kVersion) {
-    return Malformed("unsupported version " + std::to_string(header.version));
-  }
-  if (header.reserved != 0) return Malformed("nonzero reserved header field");
-  if (header.universe_size > kMaxDimension ||
-      header.base_num_sets > kMaxDimension) {
-    return Malformed("header dimensions exceed 2^31");
-  }
-  // record_count is bounded by what could physically fit: every record is
-  // at least 24 bytes. A hostile count can therefore never drive the
-  // replay loop past the mapped bytes.
-  if (header.record_count >
-      (actual_size < sizeof(FileHeader)
-           ? 0
-           : (actual_size - sizeof(FileHeader)) / sizeof(RecordHeader))) {
-    return Malformed("record count exceeds what the file could hold");
-  }
-  if (header.file_size != actual_size) {
-    return Malformed("file size mismatch: header says " +
-                     std::to_string(header.file_size) + " bytes, file has " +
-                     std::to_string(actual_size) +
-                     " (truncated or torn write)");
-  }
-  return Status::Ok();
-}
 
 Status ValidateRecordHeader(const FileHeader& header,
                             const RecordHeader& record, std::uint64_t offset,
                             std::uint64_t file_size,
                             std::uint64_t record_index) {
   const auto fail = [record_index](const std::string& what) {
-    return Malformed("record " + std::to_string(record_index) + ": " + what);
+    return kFormat.Malformed("record " + std::to_string(record_index) + ": " +
+                             what);
   };
   if (record.reserved != 0) return fail("nonzero reserved record field");
   if (record.record_bytes < sizeof(RecordHeader) ||

@@ -20,7 +20,8 @@
 /// (storage/binary_format.h): dense = ceil(n/64) little-endian u64 words
 /// with zero tail bits, sparse = count sorted duplicate-free u32 ids
 /// zero-padded to the next 8-byte boundary. All integers little-endian;
-/// big-endian hosts are rejected, matching sscb1.
+/// the header, the mapped open and the writer are the container shared
+/// with sscb1 (storage/container.h).
 ///
 /// Slot semantics (the contract OverlaySetStream replays):
 ///
@@ -56,9 +57,11 @@ inline constexpr std::uint32_t kVersion = 1;
 /// are always 8-aligned and dense words readable in place.
 inline constexpr std::uint64_t kPayloadAlign = sscb1::kPayloadAlign;
 
-/// Same sanity cap as the sscb1 reader: a corrupt header must never drive
-/// allocation.
-inline constexpr std::uint64_t kMaxDimension = sscb1::kMaxDimension;
+/// The cap on n and m0, shared with sscb1.
+inline constexpr std::uint64_t kMaxDimension = container::kMaxDimension;
+
+/// The container this format uses (storage/container.h).
+inline constexpr container::Format kFormat = {"sscd1", kMagic, kVersion};
 
 /// Mutation kind (RecordHeader::type).
 enum RecordType : std::uint16_t {
@@ -67,17 +70,10 @@ enum RecordType : std::uint16_t {
   kReplaceSet = 3,  ///< Swap a live slot's payload. Payload present.
 };
 
-/// Fixed-size file header at offset 0.
-struct FileHeader {
-  unsigned char magic[8];       ///< kMagic.
-  std::uint32_t version;        ///< kVersion.
-  std::uint32_t reserved;       ///< Zero.
-  std::uint64_t universe_size;  ///< n — must match the base instance.
-  std::uint64_t base_num_sets;  ///< m0 of the base this log applies to.
-  std::uint64_t record_count;   ///< Records that follow (back-patched).
-  std::uint64_t file_size;      ///< Total file bytes (back-patched).
-};
-static_assert(sizeof(FileHeader) == 48, "sscd1 header layout drifted");
+/// The file header is the container's: n must match the base, m is the
+/// base's set count (base_num_sets), and the format word is the
+/// record_count.
+using FileHeader = container::Header;
 
 /// Fixed-size record header; the payload (if any) follows immediately.
 struct RecordHeader {
@@ -92,10 +88,6 @@ static_assert(sizeof(RecordHeader) == 24, "sscd1 record layout drifted");
 
 /// Bytes of a remove record (no payload).
 inline constexpr std::uint64_t kRemoveRecordBytes = sizeof(RecordHeader);
-
-/// Structural validation of a file header against the actual byte count
-/// of the file it came from: magic, version, dimension caps, size echo.
-Status ValidateHeader(const FileHeader& header, std::uint64_t actual_size);
 
 /// Structural validation of one record header at byte \p offset of a file
 /// of \p file_size bytes under a validated file header: type/rep tags,

@@ -7,28 +7,8 @@
 
 namespace streamsc {
 
-namespace {
-
 using sscd1::FileHeader;
 using sscd1::RecordHeader;
-
-Status Malformed(const std::string& what) {
-  return Status::InvalidArgument("sscd1: " + what);
-}
-
-FileHeader MakeHeader(std::uint64_t universe_size, std::uint64_t base_num_sets,
-                      std::uint64_t record_count, std::uint64_t file_size) {
-  FileHeader header = {};
-  std::memcpy(header.magic, sscd1::kMagic, sizeof(sscd1::kMagic));
-  header.version = sscd1::kVersion;
-  header.universe_size = universe_size;
-  header.base_num_sets = base_num_sets;
-  header.record_count = record_count;
-  header.file_size = file_size;
-  return header;
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // DeltaLog (reader)
@@ -77,41 +57,39 @@ std::vector<std::uint64_t> DeltaLog::TombstonedSlots() const {
 }
 
 Status DeltaLog::Load(const std::string& path) {
-  Status endian = sscb1::CheckHostEndianness();
-  if (!endian.ok()) return endian;
-
-  StatusOr<MmapFile> mapped = MmapFile::Open(path);
+  const StatusOr<FileHeader> mapped =
+      container::OpenMapped(sscd1::kFormat, path, &file_);
   if (!mapped.ok()) return mapped.status();
-  file_ = std::move(*mapped);
-
-  if (file_.size() < sizeof(FileHeader)) {
-    return Malformed("file too small for an sscd1 header");
+  const FileHeader& header = *mapped;
+  // Every record is at least 24 bytes, so a hostile count cannot drive
+  // the replay loop past the mapped bytes.
+  if (header.format_word >
+      (header.file_size - sizeof(FileHeader)) / sizeof(RecordHeader)) {
+    return sscd1::kFormat.Malformed(
+        "record count exceeds what the file could hold");
   }
-  FileHeader header;
-  std::memcpy(&header, file_.data(), sizeof(header));
-  Status status = sscd1::ValidateHeader(header, file_.size());
-  if (!status.ok()) return status;
 
   // No allocation keyed on base_num_sets_: the claim is not backed by any
   // bytes of this file (unlike sscb1's offset table), so a hostile header
   // must not be able to drive a giant slot-table reservation. Slots
   // materialize lazily as records touch them.
   universe_size_ = static_cast<std::size_t>(header.universe_size);
-  base_num_sets_ = header.base_num_sets;
-  record_count_ = header.record_count;
+  base_num_sets_ = header.num_sets;
+  record_count_ = header.format_word;
 
   std::uint64_t offset = sizeof(FileHeader);
   for (std::uint64_t i = 0; i < record_count_; ++i) {
     const auto fail = [i](const std::string& what) {
-      return Malformed("record " + std::to_string(i) + ": " + what);
+      return sscd1::kFormat.Malformed("record " + std::to_string(i) + ": " +
+                                      what);
     };
     if (file_.size() - offset < sizeof(RecordHeader)) {
       return fail("record overruns the file (truncated?)");
     }
     RecordHeader record;
     std::memcpy(&record, file_.data() + offset, sizeof(record));
-    status = sscd1::ValidateRecordHeader(header, record, offset, file_.size(),
-                                         i);
+    const Status status = sscd1::ValidateRecordHeader(
+        header, record, offset, file_.size(), i);
     if (!status.ok()) return status;
 
     switch (static_cast<sscd1::RecordType>(record.type)) {
@@ -152,7 +130,7 @@ Status DeltaLog::Load(const std::string& path) {
     offset += record.record_bytes;
   }
   if (offset != file_.size()) {
-    return Malformed("trailing bytes after the last record");
+    return sscd1::kFormat.Malformed("trailing bytes after the last record");
   }
   return Status::Ok();
 }
@@ -171,82 +149,39 @@ DeltaLogWriter::DeltaLogWriter(const std::string& path,
                                std::size_t universe_size,
                                std::size_t base_num_sets,
                                double sparsity_threshold)
-    : path_(path),
-      universe_size_(universe_size),
-      base_num_sets_(base_num_sets),
-      encoder_(sparsity_threshold) {
-  status_ = sscb1::CheckHostEndianness();
-  if (!status_.ok()) return;
-  if (universe_size > sscd1::kMaxDimension ||
-      base_num_sets > sscd1::kMaxDimension) {
-    status_ = Status::InvalidArgument(
-        "sscd1: base dimensions exceed the 2^31 format cap");
-    return;
-  }
-  out_.open(path, std::ios::binary | std::ios::in | std::ios::out |
-                      std::ios::trunc);
-  if (!out_) {
-    status_ = Status::Internal("cannot open '" + path + "' for writing");
-    return;
-  }
-  num_slots_ = base_num_sets;
-  // The header written up front is already *valid* for an empty log, so a
-  // writer that never reaches Finish() leaves a well-formed zero-record
-  // file behind, not garbage.
-  const FileHeader header =
-      MakeHeader(universe_size_, base_num_sets_, 0, sizeof(FileHeader));
-  if (!WriteBytes(&header, sizeof(header))) {
-    status_ = Status::Internal("write to '" + path + "' failed");
-    return;
-  }
-  out_.flush();
-}
+    : file_(sscd1::kFormat, path, universe_size, base_num_sets,
+            container::FileWriter::Mode::kCreate),
+      encoder_(sparsity_threshold),
+      num_slots_(base_num_sets) {}
 
 DeltaLogWriter::DeltaLogWriter(const std::string& path,
                                double sparsity_threshold)
-    : path_(path), encoder_(sparsity_threshold) {
-  // Full reader replay first: append mode refuses to extend a log it
-  // could not itself read back, and the replay hands us the liveness
-  // state the new records must be validated against.
-  DeltaLog existing(path);
+    : DeltaLogWriter(path, DeltaLog(path), sparsity_threshold) {}
+
+DeltaLogWriter::DeltaLogWriter(const std::string& path,
+                               const DeltaLog& existing,
+                               double sparsity_threshold)
+    : file_(sscd1::kFormat, path, existing.universe_size(),
+            existing.base_num_sets(), container::FileWriter::Mode::kAppend),
+      encoder_(sparsity_threshold),
+      record_count_(existing.record_count()),
+      num_slots_(existing.num_slots()) {
+  // The full reader replay runs before the open: append mode refuses to
+  // extend a log it could not itself read back, and the replay hands us
+  // the liveness state the new records must be validated against.
   if (!existing.status().ok()) {
-    status_ = existing.status();
+    file_.Fail(existing.status());
     return;
   }
-  universe_size_ = existing.universe_size();
-  base_num_sets_ = existing.base_num_sets();
-  record_count_ = existing.record_count();
-  num_slots_ = existing.num_slots();
-  for (const std::uint64_t slot : existing.TombstonedSlots()) {
-    dead_.insert(slot);
-  }
-  out_.open(path, std::ios::binary | std::ios::in | std::ios::out);
-  if (!out_) {
-    status_ = Status::Internal("cannot open '" + path + "' for appending");
-    return;
-  }
-  out_.seekp(0, std::ios::end);
-  offset_ = static_cast<std::uint64_t>(out_.tellp());
-}
-
-Status DeltaLogWriter::Fail(Status status) {
-  status_ = std::move(status);
-  return status_;
-}
-
-bool DeltaLogWriter::WriteBytes(const void* bytes, std::size_t count) {
-  if (count == 0) return static_cast<bool>(out_);
-  out_.write(static_cast<const char*>(bytes),
-             static_cast<std::streamsize>(count));
-  offset_ += count;
-  return static_cast<bool>(out_);
+  const std::vector<std::uint64_t> dead = existing.TombstonedSlots();
+  dead_.insert(dead.begin(), dead.end());
 }
 
 Status DeltaLogWriter::WritePayloadRecord(sscd1::RecordType type,
                                           std::uint64_t target, SetView set) {
-  if (!set.valid() || set.size() != universe_size_) {
-    return Fail(Status::InvalidArgument(
-        "sscd1: set universe size mismatches the log header"));
+  if (!set.valid() || set.size() != universe_size()) {
+    return file_.Fail(sscd1::kFormat.Malformed(
+        "set universe size mismatches the log header"));
   }
   const sscb1::PayloadShape shape = encoder_.Shape(set);
   RecordHeader record = {};
@@ -256,76 +191,48 @@ Status DeltaLogWriter::WritePayloadRecord(sscd1::RecordType type,
   record.count = shape.count;
   record.record_bytes =
       static_cast<std::uint32_t>(sizeof(RecordHeader) + shape.bytes);
-  if (!WriteBytes(&record, sizeof(record)) ||
-      !encoder_.Write(set, shape, out_)) {
-    return Fail(Status::Internal("write to '" + path_ + "' failed"));
+  if (file_.Write(&record, sizeof(record)) &&
+      encoder_.Write(set, shape, file_)) {
+    ++record_count_;
   }
-  offset_ += shape.bytes;
-  ++record_count_;
-  return status_;
+  return file_.status();
 }
 
 Status DeltaLogWriter::AddSet(SetView set) {
-  if (!status_.ok()) return status_;
-  if (finished_) {
-    return Fail(Status::FailedPrecondition("sscd1: AddSet after Finish"));
-  }
   const Status written = WritePayloadRecord(sscd1::kAddSet, 0, set);
-  if (!written.ok()) return written;
-  ++num_slots_;
-  return status_;
+  if (written.ok()) ++num_slots_;
+  return written;
+}
+
+Status DeltaLogWriter::CheckTarget(const char* op, std::uint64_t slot) {
+  if (slot >= num_slots_ || dead_.count(slot) != 0) {
+    return file_.Fail(sscd1::kFormat.Malformed(
+        std::string(op) + " of dead or out-of-range slot " +
+        std::to_string(slot)));
+  }
+  return file_.status();
 }
 
 Status DeltaLogWriter::RemoveSet(std::uint64_t slot) {
-  if (!status_.ok()) return status_;
-  if (finished_) {
-    return Fail(Status::FailedPrecondition("sscd1: RemoveSet after Finish"));
-  }
-  if (slot >= num_slots_ || dead_.count(slot) != 0) {
-    return Fail(Status::InvalidArgument(
-        "sscd1: RemoveSet of dead or out-of-range slot " +
-        std::to_string(slot)));
-  }
+  const Status target = CheckTarget("RemoveSet", slot);
+  if (!target.ok()) return target;
   RecordHeader record = {};
   record.type = sscd1::kRemoveSet;
   record.target = slot;
   record.record_bytes = static_cast<std::uint32_t>(sscd1::kRemoveRecordBytes);
-  if (!WriteBytes(&record, sizeof(record))) {
-    return Fail(Status::Internal("write to '" + path_ + "' failed"));
+  if (file_.Write(&record, sizeof(record))) {
+    ++record_count_;
+    dead_.insert(slot);
   }
-  ++record_count_;
-  dead_.insert(slot);
-  return status_;
+  return file_.status();
 }
 
 Status DeltaLogWriter::ReplaceSet(std::uint64_t slot, SetView set) {
-  if (!status_.ok()) return status_;
-  if (finished_) {
-    return Fail(Status::FailedPrecondition("sscd1: ReplaceSet after Finish"));
-  }
-  if (slot >= num_slots_ || dead_.count(slot) != 0) {
-    return Fail(Status::InvalidArgument(
-        "sscd1: ReplaceSet of dead or out-of-range slot " +
-        std::to_string(slot)));
-  }
+  const Status target = CheckTarget("ReplaceSet", slot);
+  if (!target.ok()) return target;
   return WritePayloadRecord(sscd1::kReplaceSet, slot, set);
 }
 
-Status DeltaLogWriter::Finish() {
-  if (!status_.ok()) return status_;
-  if (finished_) return status_;
-  finished_ = true;
-
-  const FileHeader header =
-      MakeHeader(universe_size_, base_num_sets_, record_count_, offset_);
-  out_.seekp(0);
-  out_.write(reinterpret_cast<const char*>(&header), sizeof(header));
-  out_.flush();
-  if (!out_) {
-    return Fail(Status::Internal("header patch of '" + path_ + "' failed"));
-  }
-  out_.close();
-  return status_;
-}
+Status DeltaLogWriter::Finish() { return file_.Finish(record_count_); }
 
 }  // namespace streamsc

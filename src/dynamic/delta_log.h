@@ -2,7 +2,6 @@
 #define STREAMSC_DYNAMIC_DELTA_LOG_H_
 
 #include <cstdint>
-#include <fstream>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -10,6 +9,7 @@
 
 #include "dynamic/delta_format.h"
 #include "instance/set_system.h"
+#include "storage/container.h"
 #include "storage/mmap_file.h"
 #include "util/set_view.h"
 #include "util/status.h"
@@ -28,18 +28,15 @@
 /// Memory is proportional to the *records*, never to the header's claimed
 /// base size: a hostile base_num_sets cannot drive allocation.
 ///
-/// DeltaLogWriter appends records and back-patches the header's
-/// record_count / file_size on Finish(). A reader never decodes a
-/// half-appended record as data — but the atomicity is *reject-and-retry*,
-/// not old-or-new: a reader that maps the file between an append and the
-/// Finish() patch sees a header whose file_size no longer matches the
-/// file and gets a typed InvalidArgument ("file size mismatch"), the same
-/// rejection as any torn write. Pollers (watch mode, RefreshDelta) treat
-/// that as "no change yet" and retry after Finish(). Append mode
-/// revalidates the existing log (through DeltaLog) before extending it,
-/// and both modes track slot liveness so a remove/replace of a dead or
-/// out-of-range slot fails at write time with the same typed error a
-/// reader would produce.
+/// DeltaLogWriter writes through container::FileWriter
+/// (storage/container.h): a created log appears whole, by rename; append
+/// mode extends the log in place, so a reader mapping it between an
+/// append and the Finish() patch gets a typed "file size mismatch", the
+/// same rejection as any torn write, which pollers (watch mode,
+/// RefreshDelta) treat as "no change yet". Append mode revalidates the
+/// existing log (through DeltaLog) first, and both modes track slot
+/// liveness so a remove/replace of a dead or out-of-range slot fails at
+/// write time with the same typed error a reader would produce.
 
 namespace streamsc {
 
@@ -136,7 +133,7 @@ class DeltaLog {
 /// mutation methods, then Finish(). Errors are sticky.
 class DeltaLogWriter {
  public:
-  /// Create mode: truncates \p path to an empty log over a base of
+  /// Create mode: a new log for \p path over a base of
   /// (\p universe_size, \p base_num_sets). Sets added or replaced are
   /// stored dense or sparse by \p sparsity_threshold, the same rule as
   /// SetSystem and the sscb1 writer.
@@ -156,10 +153,10 @@ class DeltaLogWriter {
   DeltaLogWriter& operator=(const DeltaLogWriter&) = delete;
 
   /// Ok iff every operation so far succeeded.
-  const Status& status() const { return status_; }
+  const Status& status() const { return file_.status(); }
 
   /// Universe size of the log under construction.
-  std::size_t universe_size() const { return universe_size_; }
+  std::size_t universe_size() const { return file_.header().universe_size; }
 
   /// Records written plus (in append mode) records already present.
   std::uint64_t record_count() const { return record_count_; }
@@ -177,32 +174,28 @@ class DeltaLogWriter {
   /// Appends a kReplaceSet record swapping live slot \p slot's payload.
   Status ReplaceSet(std::uint64_t slot, SetView set);
 
-  /// Back-patches record_count / file_size and flushes. Until Finish()
-  /// the header still describes the previous consistent state, so a
-  /// reader racing the appends gets a typed size-mismatch rejection
-  /// (retryable — "no change yet"), never a half-appended record.
+  /// Back-patches record_count / file_size and flushes; a created log is
+  /// renamed into place. Until then a reader racing appends gets the
+  /// retryable size-mismatch rejection, never a half-appended record.
   Status Finish();
 
  private:
-  Status Fail(Status status);
-  bool WriteBytes(const void* bytes, std::size_t count);
+  // Append mode over the replayed \p existing log at \p path.
+  DeltaLogWriter(const std::string& path, const DeltaLog& existing,
+                 double sparsity_threshold);
+  // Fails the writer unless \p slot is live; returns status().
+  Status CheckTarget(const char* op, std::uint64_t slot);
   // Encodes and writes one payload-carrying record.
   Status WritePayloadRecord(sscd1::RecordType type, std::uint64_t target,
                             SetView set);
 
-  Status status_;
-  std::fstream out_;
-  std::string path_;
-  std::size_t universe_size_ = 0;
-  std::uint64_t base_num_sets_ = 0;
+  container::FileWriter file_;
   sscb1::PayloadEncoder encoder_;
-  std::uint64_t offset_ = 0;  // current write position (== file size)
   std::uint64_t record_count_ = 0;
   // Liveness as (slot count, tombstone set): like the reader's slot
   // table, memory scales with the mutations, not the claimed base size.
   std::uint64_t num_slots_ = 0;
   std::unordered_set<std::uint64_t> dead_;
-  bool finished_ = false;
 };
 
 }  // namespace streamsc

@@ -159,9 +159,8 @@ Status OverlaySetStream::RefreshDelta() {
 Status OverlaySetStream::Materialize(const std::string& out_path) const {
   if (!status_.ok()) return status_;
   BinaryInstanceWriter writer(out_path, universe_size_, live_.size());
-  if (!writer.status().ok()) return writer.status();
-  for (SetId id = 0; id < live_.size(); ++id) {
-    if (!writer.AddSet(set(id)).ok()) return writer.status();
+  for (SetId id = 0; id < live_.size() && writer.status().ok(); ++id) {
+    writer.AddSet(set(id));
   }
   return writer.Finish();
 }

@@ -1,6 +1,5 @@
 #include "storage/binary_format.h"
 
-#include <bit>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -10,53 +9,11 @@
 
 namespace streamsc {
 namespace sscb1 {
-namespace {
-
-Status Malformed(const std::string& what) {
-  return Status::InvalidArgument("sscb1: " + what);
-}
-
-}  // namespace
-
-Status CheckHostEndianness() {
-  if constexpr (std::endian::native == std::endian::little) {
-    return Status::Ok();
-  }
-  return Status::FailedPrecondition(
-      "sscb1 is a little-endian in-place format; this host is big-endian");
-}
-
-Status ValidateHeader(const FileHeader& header, std::uint64_t actual_size) {
-  if (std::memcmp(header.magic, kMagic, sizeof(kMagic)) != 0) {
-    return Malformed("bad magic (not an sscb1 file)");
-  }
-  if (header.version != kVersion) {
-    return Malformed("unsupported version " + std::to_string(header.version));
-  }
-  if (header.reserved != 0) return Malformed("nonzero reserved header field");
-  if (header.universe_size > kMaxDimension ||
-      header.num_sets > kMaxDimension) {
-    return Malformed("header dimensions exceed 2^31");
-  }
-  if (header.file_size != actual_size) {
-    return Malformed("file size mismatch: header says " +
-                     std::to_string(header.file_size) + " bytes, file has " +
-                     std::to_string(actual_size) + " (truncated or modified)");
-  }
-  const std::uint64_t index_bytes = header.num_sets * sizeof(SetIndexEntry);
-  if (header.index_offset < sizeof(FileHeader) ||
-      header.index_offset % kPayloadAlign != 0 ||
-      header.index_offset > actual_size ||
-      actual_size - header.index_offset != index_bytes) {
-    return Malformed("index placement invalid (truncated index?)");
-  }
-  return Status::Ok();
-}
 
 Status ValidateIndexEntry(const FileHeader& header, const SetIndexEntry& entry,
                           std::size_t set_id) {
   const auto fail = [set_id](const std::string& what) {
-    return Malformed("set " + std::to_string(set_id) + ": " + what);
+    return kFormat.Malformed("set " + std::to_string(set_id) + ": " + what);
   };
   if (entry.rep != kDense && entry.rep != kSparse) {
     return fail("unknown representation tag " + std::to_string(entry.rep));
@@ -89,26 +46,21 @@ PayloadShape PayloadEncoder::Shape(SetView set) const {
 }
 
 bool PayloadEncoder::Write(SetView set, const PayloadShape& shape,
-                           std::ostream& out) {
-  const auto write = [&out](const void* bytes, std::uint64_t count) {
-    out.write(static_cast<const char*>(bytes),
-              static_cast<std::streamsize>(count));
-  };
+                           container::FileWriter& out) {
   if (shape.rep == kSparse) {
     scratch_ids_.clear();
     set.ForEach([&](ElementId e) { scratch_ids_.push_back(e); });
     const std::uint64_t raw = scratch_ids_.size() * sizeof(ElementId);
-    write(scratch_ids_.data(), raw);
     const std::uint64_t zero = 0;
-    write(&zero, shape.bytes - raw);
-  } else if (const DenseSpan* words = set.dense_span()) {
-    write(words->WordData(), words->ByteSize());
-  } else {
-    // Sparse-represented set dense enough to store dense: materialize once.
-    const DynamicBitset dense = set.ToDense();
-    write(dense.WordData(), dense.ByteSize());
+    return out.Write(scratch_ids_.data(), raw) &&
+           out.Write(&zero, shape.bytes - raw);
   }
-  return static_cast<bool>(out);
+  if (const DenseSpan* words = set.dense_span()) {
+    return out.Write(words->WordData(), words->ByteSize());
+  }
+  // Sparse-represented set dense enough to store dense: materialize once.
+  const DynamicBitset dense = set.ToDense();
+  return out.Write(dense.WordData(), dense.ByteSize());
 }
 
 PayloadCheck ValidatePayload(const std::byte* payload, std::uint16_t rep,

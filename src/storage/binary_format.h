@@ -3,10 +3,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
+#include "storage/container.h"
 #include "util/common.h"
 #include "util/set_view.h"
 #include "util/status.h"
@@ -19,9 +19,9 @@
 ///
 /// with every payload 8-byte aligned so dense words can be read in place
 /// as std::uint64_t and sparse ids as std::uint32_t, directly out of a
-/// read-only mapping. All integers are little-endian; the reader rejects
-/// files on big-endian hosts rather than byte-swapping (no such target is
-/// supported by this project).
+/// read-only mapping. All integers are little-endian; the header, the
+/// mapped open and the writer are the container shared with sscd1
+/// (storage/container.h).
 ///
 /// Per set, the payload is one of two representations, chosen by the same
 /// 1/32 density rule as SetSystem's hybrid store:
@@ -52,9 +52,8 @@ inline constexpr std::uint32_t kVersion = 1;
 /// Payload alignment; every set payload offset is a multiple of this.
 inline constexpr std::uint64_t kPayloadAlign = 8;
 
-/// Same sanity cap as the ssc1 reader: a corrupt header must never drive
-/// allocation.
-inline constexpr std::uint64_t kMaxDimension = std::uint64_t{1} << 31;
+/// The container this format uses (storage/container.h).
+inline constexpr container::Format kFormat = {"sscb1", kMagic, kVersion};
 
 /// Set payload representation tag (SetIndexEntry::rep).
 enum Rep : std::uint16_t {
@@ -72,7 +71,8 @@ struct FileHeader {
   std::uint64_t index_offset;  ///< Byte offset of the SetIndexEntry array.
   std::uint64_t file_size;     ///< Total file size in bytes.
 };
-static_assert(sizeof(FileHeader) == 48, "sscb1 header layout drifted");
+static_assert(sizeof(FileHeader) == sizeof(container::Header),
+              "sscb1 header layout drifted");
 
 /// One per set, in SetId order, at index_offset.
 struct SetIndexEntry {
@@ -93,14 +93,6 @@ constexpr std::uint64_t PayloadBytes(std::uint16_t rep, std::uint64_t n,
                                 : count * sizeof(std::uint32_t);
   return (raw + kPayloadAlign - 1) / kPayloadAlign * kPayloadAlign;
 }
-
-/// Ok iff this host can read/write sscb1 in place (little-endian).
-Status CheckHostEndianness();
-
-/// Structural validation of a header against the actual byte count of the
-/// file it came from: magic, version, dimension caps, index placement.
-/// Payload content is checked by ValidatePayload.
-Status ValidateHeader(const FileHeader& header, std::uint64_t actual_size);
 
 /// Structural validation of one index entry against a validated header:
 /// representation tag, alignment, count range, and that the payload lies
@@ -129,8 +121,9 @@ class PayloadEncoder {
 
   /// Writes \p set's payload in \p shape (from Shape(set)) to \p out:
   /// the dense words, or the sorted ids plus zero padding. Returns false
-  /// iff the stream failed.
-  bool Write(SetView set, const PayloadShape& shape, std::ostream& out);
+  /// iff \p out has failed.
+  bool Write(SetView set, const PayloadShape& shape,
+             container::FileWriter& out);
 
  private:
   double sparsity_threshold_;

@@ -1,129 +1,57 @@
 #include "storage/binary_instance_writer.h"
 
-#include <cstring>
-
 #include "stream/stream_adapters.h"
 
 namespace streamsc {
 
-namespace {
-
-using sscb1::FileHeader;
 using sscb1::SetIndexEntry;
-
-FileHeader ProvisionalHeader(std::size_t universe_size, std::size_t num_sets) {
-  FileHeader header = {};
-  std::memcpy(header.magic, sscb1::kMagic, sizeof(sscb1::kMagic));
-  header.version = sscb1::kVersion;
-  header.universe_size = universe_size;
-  header.num_sets = num_sets;
-  // index_offset / file_size are back-patched by Finish().
-  return header;
-}
-
-}  // namespace
 
 BinaryInstanceWriter::BinaryInstanceWriter(const std::string& path,
                                            std::size_t universe_size,
                                            std::size_t num_sets,
                                            double sparsity_threshold)
-    : path_(path),
-      universe_size_(universe_size),
-      num_sets_(num_sets),
+    : file_(sscb1::kFormat, path, universe_size, num_sets,
+            container::FileWriter::Mode::kCreate),
       encoder_(sparsity_threshold) {
-  status_ = sscb1::CheckHostEndianness();
-  if (!status_.ok()) return;
-  if (universe_size > sscb1::kMaxDimension || num_sets > sscb1::kMaxDimension) {
-    status_ = Status::InvalidArgument(
-        "sscb1: instance dimensions exceed the 2^31 format cap");
-    return;
-  }
-  out_.open(path, std::ios::binary | std::ios::trunc);
-  if (!out_) {
-    status_ = Status::Internal("cannot open '" + path + "' for writing");
-    return;
-  }
-  index_.reserve(num_sets);
-  const FileHeader header = ProvisionalHeader(universe_size, num_sets);
-  if (!WriteBytes(&header, sizeof(header))) {
-    status_ = Status::Internal("write to '" + path + "' failed");
-  }
-}
-
-Status BinaryInstanceWriter::Fail(Status status) {
-  status_ = std::move(status);
-  return status_;
-}
-
-bool BinaryInstanceWriter::WriteBytes(const void* bytes, std::size_t count) {
-  if (count == 0) return static_cast<bool>(out_);  // empty payloads/indexes
-  out_.write(static_cast<const char*>(bytes),
-             static_cast<std::streamsize>(count));
-  offset_ += count;
-  return static_cast<bool>(out_);
+  if (file_.status().ok()) index_.reserve(num_sets);
 }
 
 Status BinaryInstanceWriter::AddSet(SetView set) {
-  if (!status_.ok()) return status_;
-  if (finished_) {
-    return Fail(Status::FailedPrecondition("AddSet after Finish"));
+  if (!set.valid() || set.size() != file_.header().universe_size) {
+    return file_.Fail(sscb1::kFormat.Malformed(
+        "set universe size mismatches the file header"));
   }
-  if (!set.valid() || set.size() != universe_size_) {
-    return Fail(Status::InvalidArgument(
-        "sscb1: set universe size mismatches the file header"));
-  }
-  if (index_.size() >= num_sets_) {
-    return Fail(Status::FailedPrecondition(
+  if (index_.size() >= file_.header().num_sets) {
+    return file_.Fail(Status::FailedPrecondition(
         "sscb1: more AddSet calls than the declared set count"));
   }
-
   const sscb1::PayloadShape shape = encoder_.Shape(set);
-  SetIndexEntry entry = {};
-  entry.offset = offset_;
-  entry.count = shape.count;
-  entry.rep = shape.rep;
-  if (!encoder_.Write(set, shape, out_)) {
-    return Fail(Status::Internal("write to '" + path_ + "' failed"));
-  }
-  offset_ += shape.bytes;
-  index_.push_back(entry);
-  return status_;
+  const SetIndexEntry entry = {file_.offset(), shape.count, shape.rep, 0};
+  if (encoder_.Write(set, shape, file_)) index_.push_back(entry);
+  return file_.status();
 }
 
 Status BinaryInstanceWriter::Finish() {
-  if (!status_.ok()) return status_;
-  if (finished_) return status_;
-  if (index_.size() != num_sets_) {
-    return Fail(Status::FailedPrecondition(
+  if (!file_.status().ok() || file_.finished()) return file_.status();
+  if (index_.size() != file_.header().num_sets) {
+    return file_.Fail(Status::FailedPrecondition(
         "sscb1: Finish after " + std::to_string(index_.size()) +
-        " AddSet calls; header declares " + std::to_string(num_sets_)));
+        " AddSet calls; header declares " +
+        std::to_string(file_.header().num_sets)));
   }
-  finished_ = true;
-
-  FileHeader header = ProvisionalHeader(universe_size_, num_sets_);
-  header.index_offset = offset_;
-  if (!WriteBytes(index_.data(), index_.size() * sizeof(SetIndexEntry))) {
-    return Fail(Status::Internal("write to '" + path_ + "' failed"));
+  const std::uint64_t index_offset = file_.offset();
+  if (!file_.Write(index_.data(), index_.size() * sizeof(SetIndexEntry))) {
+    return file_.status();
   }
-  header.file_size = offset_;
-
-  out_.seekp(0);
-  out_.write(reinterpret_cast<const char*>(&header), sizeof(header));
-  out_.flush();
-  if (!out_) {
-    return Fail(Status::Internal("header patch of '" + path_ + "' failed"));
-  }
-  out_.close();
-  return status_;
+  return file_.Finish(index_offset);
 }
 
 Status BinaryInstanceWriter::WriteSystem(const SetSystem& system,
                                          const std::string& path) {
   BinaryInstanceWriter writer(path, system.universe_size(), system.num_sets());
-  for (SetId id = 0; id < system.num_sets(); ++id) {
-    if (!writer.AddSet(system.set(id)).ok()) break;
+  for (SetId id = 0; id < system.num_sets() && writer.status().ok(); ++id) {
+    writer.AddSet(system.set(id));
   }
-  if (!writer.status().ok()) return writer.status();
   return writer.Finish();
 }
 
@@ -133,12 +61,9 @@ Status BinaryInstanceWriter::TranscodeText(const std::string& text_path,
   if (!source.status().ok()) return source.status();
   BinaryInstanceWriter writer(binary_path, source.universe_size(),
                               source.num_sets());
-  if (!writer.status().ok()) return writer.status();
   source.BeginPass();
   StreamItem item;
-  while (source.Next(&item)) {
-    if (!writer.AddSet(item.set).ok()) return writer.status();
-  }
+  while (writer.status().ok() && source.Next(&item)) writer.AddSet(item.set);
   // A clean end-of-stream and a mid-file parse error both end the pass;
   // only the stream's status tells them apart.
   if (!source.status().ok()) return source.status();

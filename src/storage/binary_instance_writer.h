@@ -1,7 +1,6 @@
 #ifndef STREAMSC_STORAGE_BINARY_INSTANCE_WRITER_H_
 #define STREAMSC_STORAGE_BINARY_INSTANCE_WRITER_H_
 
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -18,18 +17,18 @@
 ///
 /// Streaming protocol: construct with the final (n, m), call AddSet()
 /// exactly m times, then Finish(). The writer streams payloads, buffers
-/// only the 16-byte index entries (O(m)), appends the index at the end,
-/// and back-patches the header. Errors are sticky: once any call fails,
-/// every later call returns the same status and the output is not usable.
+/// only the 16-byte index entries (O(m)), and appends the index at the
+/// end. Errors are sticky, and the file appears whole, by rename, in
+/// Finish() (container::FileWriter, storage/container.h).
 
 namespace streamsc {
 
 /// Incremental sscb1 writer. Not copyable.
 class BinaryInstanceWriter {
  public:
-  /// Opens \p path for writing and emits a provisional header. Check
-  /// status() before use. Each added set is stored dense or sparse by
-  /// \p sparsity_threshold, the same rule as SetSystem.
+  /// Starts a new file for \p path. Check status() before use. Each added
+  /// set is stored dense or sparse by \p sparsity_threshold, the same
+  /// rule as SetSystem.
   BinaryInstanceWriter(
       const std::string& path, std::size_t universe_size, std::size_t num_sets,
       double sparsity_threshold = SetSystem::kDefaultSparsityThreshold);
@@ -38,14 +37,14 @@ class BinaryInstanceWriter {
   BinaryInstanceWriter& operator=(const BinaryInstanceWriter&) = delete;
 
   /// Ok iff every operation so far succeeded.
-  const Status& status() const { return status_; }
+  const Status& status() const { return file_.status(); }
 
   /// Appends the next set's payload. The view's universe must match;
   /// returns the sticky status.
   Status AddSet(SetView set);
 
-  /// Writes the index, patches the header, and flushes. Must be called
-  /// after exactly num_sets AddSet() calls.
+  /// Writes the index, patches the header, and renames the file into
+  /// place. Must be called after exactly num_sets AddSet() calls.
   Status Finish();
 
   /// Writes \p system to \p path in one call.
@@ -58,20 +57,9 @@ class BinaryInstanceWriter {
                               const std::string& binary_path);
 
  private:
-  // Records a failure and returns it (sticky).
-  Status Fail(Status status);
-  // Writes raw bytes at the current position, tracking the offset.
-  bool WriteBytes(const void* bytes, std::size_t count);
-
-  Status status_;
-  std::ofstream out_;
-  std::string path_;
-  std::size_t universe_size_ = 0;
-  std::size_t num_sets_ = 0;
+  container::FileWriter file_;
   sscb1::PayloadEncoder encoder_;
-  std::uint64_t offset_ = 0;  // current write position
   std::vector<sscb1::SetIndexEntry> index_;
-  bool finished_ = false;
 };
 
 }  // namespace streamsc

@@ -28,8 +28,9 @@
 /// generation; Remove() retires a name. Neither invalidates snapshots
 /// already handed out: the shared_ptr keeps the old mapping alive until
 /// the last in-flight reader drops it, so solves started before a reload
-/// finish on the bytes they began with. Readers detect staleness by
-/// comparing generations (each successful Add/Refresh gets a globally
+/// finish on the bytes they began with, even if the file is rewritten
+/// (writers replace it by rename). Readers detect staleness by comparing
+/// generations (each successful Add/Refresh gets a globally
 /// unique one, so retire-then-re-add never aliases an old binding).
 ///
 /// Thread safety: all members are mutex-guarded and safe to call

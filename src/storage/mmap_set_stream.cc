@@ -1,21 +1,14 @@
 #include "storage/mmap_set_stream.h"
 
+#include <bit>
 #include <cstring>
 
 #include "util/check.h"
 
 namespace streamsc {
 
-namespace {
-
 using sscb1::FileHeader;
 using sscb1::SetIndexEntry;
-
-Status Malformed(const std::string& what) {
-  return Status::InvalidArgument("sscb1: " + what);
-}
-
-}  // namespace
 
 MmapSetStream::MmapSetStream(const std::string& path) {
   status_ = Load(path);
@@ -29,25 +22,20 @@ MmapSetStream::MmapSetStream(const std::string& path) {
 }
 
 Status MmapSetStream::Load(const std::string& path) {
-  Status endian = sscb1::CheckHostEndianness();
-  if (!endian.ok()) return endian;
-
-  StatusOr<MmapFile> mapped = MmapFile::Open(path);
+  const StatusOr<container::Header> mapped =
+      container::OpenMapped(sscb1::kFormat, path, &file_);
   if (!mapped.ok()) return mapped.status();
-  file_ = std::move(*mapped);
-
-  if (file_.size() < sizeof(FileHeader)) {
-    return Malformed("file too small for an sscb1 header");
-  }
-  // The header/index are copied out of the mapping into aligned structs;
-  // payload spans read in place (their 8-byte alignment is validated).
-  FileHeader header;
-  std::memcpy(&header, file_.data(), sizeof(header));
-  Status status = sscb1::ValidateHeader(header, file_.size());
-  if (!status.ok()) return status;
-
-  universe_size_ = static_cast<std::size_t>(header.universe_size);
+  const auto header = std::bit_cast<FileHeader>(*mapped);
   const std::size_t m = static_cast<std::size_t>(header.num_sets);
+  // The index starts 8-aligned past the header and ends at the file's end.
+  if (header.index_offset < sizeof(FileHeader) ||
+      header.index_offset % sscb1::kPayloadAlign != 0 ||
+      header.index_offset > header.file_size ||
+      header.file_size - header.index_offset != m * sizeof(SetIndexEntry)) {
+    return sscb1::kFormat.Malformed(
+        "index placement invalid (truncated index?)");
+  }
+  universe_size_ = static_cast<std::size_t>(header.universe_size);
   sets_.reserve(m);
 
   // The whole index is copied and checked before any payload is read:
@@ -59,7 +47,7 @@ Status MmapSetStream::Load(const std::string& path) {
                 m * sizeof(SetIndexEntry));
   }
   for (std::size_t id = 0; id < m; ++id) {
-    status = sscb1::ValidateIndexEntry(header, entries[id], id);
+    const Status status = sscb1::ValidateIndexEntry(header, entries[id], id);
     if (!status.ok()) return status;
   }
   for (std::size_t id = 0; id < m; ++id) {
@@ -67,7 +55,8 @@ Status MmapSetStream::Load(const std::string& path) {
     const sscb1::PayloadCheck check = sscb1::ValidatePayload(
         file_.data() + entry.offset, entry.rep, entry.count, universe_size_);
     if (check.error != nullptr) {
-      return Malformed("set " + std::to_string(id) + ": " + check.error);
+      return sscb1::kFormat.Malformed("set " + std::to_string(id) + ": " +
+                                      check.error);
     }
     sets_.push_back(check.view);
     if (entry.rep == sscb1::kSparse) ++sparse_sets_;
