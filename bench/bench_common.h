@@ -47,10 +47,6 @@ struct BenchResult {
   std::uint64_t passes = 0;           ///< Stream passes consumed.
   std::uint64_t peak_space_bytes = 0; ///< Peak logical space (SpaceMeter).
   double wall_seconds = 0.0;          ///< Wall-clock time of the run.
-  /// Experiment-specific numeric columns appended verbatim to the JSON
-  /// row (e.g. E16's requests_per_sec / p99_ms). Empty for benches that
-  /// only report the shared invariants, so their sidecars are unchanged.
-  std::vector<std::pair<std::string, double>> extras;
 };
 
 /// Accumulates BenchResult rows and writes them as `BENCH_<id>.json`.
@@ -81,11 +77,8 @@ class BenchJson {
           << "\", \"n\": " << r.n << ", \"m\": " << r.m
           << ", \"threads\": " << r.threads << ", \"passes\": " << r.passes
           << ", \"peak_space_bytes\": " << r.peak_space_bytes
-          << ", \"wall_seconds\": " << r.wall_seconds;
-      for (const auto& [key, value] : r.extras) {
-        out << ", \"" << Escaped(key) << "\": " << value;
-      }
-      out << "}" << (i + 1 < rows_.size() ? "," : "") << "\n";
+          << ", \"wall_seconds\": " << r.wall_seconds << "}"
+          << (i + 1 < rows_.size() ? "," : "") << "\n";
     }
     out << "]\n";
     if (!out.flush()) {

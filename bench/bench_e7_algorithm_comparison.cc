@@ -111,7 +111,7 @@ void Compare(const std::string& title, const SetSystem& system,
                     2);
       json->Add({contender.label, title, system.universe_size(),
                  system.num_sets(), threads, report->passes,
-                 report->peak_space_bytes, report->wall_seconds, {}});
+                 report->peak_space_bytes, report->wall_seconds});
     }
   }
   table.Print(std::cout);

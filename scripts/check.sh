@@ -62,8 +62,12 @@ compiler_supports_sanitizer() {
 # instance plants a 2-set optimum so every solver, including pair_finder,
 # genuinely succeeds; any solver erroring or reporting infeasible fails
 # the run. The six set-cover solvers and pair_finder also solve an n = 0
-# instance, a duplicate-id ssc1 file must fail convert and solve, and
-# convert onto a FIFO must fail without hanging.
+# instance, a duplicate-id ssc1 file must fail convert and solve,
+# convert onto a FIFO must fail without hanging, convert through a
+# symlink must write through it, and sieve_mc must refuse a lane plan
+# past physical memory with a typed error. Pass "sanitized" as the second
+# argument for a sanitizer build (the last check needs an address-space
+# cap a sanitizer cannot run under).
 run_registry_smoke() {
   local build_dir="$1"
   local tool="${build_dir}/examples/workload_tool"
@@ -116,6 +120,32 @@ run_registry_smoke() {
       return 1
     fi
   done
+  # A created file is renamed over what the target resolves to: convert
+  # through a symlink updates the linked file and leaves the link a link.
+  echo "registry smoke (${build_dir}): convert writes through a symlink"
+  printf 'stale\n' > "${tmp}/real.sscb1"
+  ln -s real.sscb1 "${tmp}/link.sscb1"
+  "${tool}" convert "${tmp}/smoke.ssc" "${tmp}/link.sscb1" >/dev/null
+  if [[ ! -L "${tmp}/link.sscb1" ]] ||
+      ! cmp -s "${tmp}/real.sscb1" "${tmp}/smoke.sscb1"; then
+    echo "convert through a symlink replaced the link" >&2
+    return 1
+  fi
+  # sieve_mc plans its lanes before building them: a guess grid far past
+  # physical memory is a typed error, not std::bad_alloc (exit 134). The
+  # address-space cap keeps a regression from taking the host's memory;
+  # it is skipped under a sanitizer, whose shadow mappings exceed it.
+  if [[ "${2:-}" != "sanitized" ]]; then
+    echo "registry smoke (${build_dir}): sieve_mc refuses an oversized plan"
+    local sieve_status=0
+    ( ulimit -v 1000000
+      "${tool}" solve "${tmp}/smoke.ssc" sieve_mc epsilon=3e-16 k=2 \
+        >/dev/null 2>&1 ) || sieve_status=$?
+    if [[ "${sieve_status}" == "0" || "${sieve_status}" == "134" ]]; then
+      echo "sieve_mc epsilon=3e-16 exited ${sieve_status}" >&2
+      return 1
+    fi
+  fi
   # Traced solve through the same CLI surface: arms a TraceRecorder
   # (--trace/--stats), then proves the chrome-trace sidecar is loadable
   # JSON with at least one complete span. Under the sanitizer lanes this
@@ -300,7 +330,7 @@ if [[ "${SANITIZE:-0}" == "1" ]]; then
     # The registry smoke again under ASan/UBSan: the CLI surface (option
     # parsing, session source sniffing, per-run engine lifetime)
     # sanitized end to end.
-    run_registry_smoke "${SAN_BUILD_DIR}"
+    run_registry_smoke "${SAN_BUILD_DIR}" sanitized
     # And the solve daemon: sockets, ring admission, warm sessions, and
     # the mmap instance cache with full heap poisoning armed.
     run_serve_smoke "${SAN_BUILD_DIR}"
@@ -333,7 +363,7 @@ if [[ "${TSAN:-0}" == "1" ]]; then
       --output-on-failure -j 8
     # Registry smoke under TSan: multi-threaded solves through the whole
     # session surface (option parsing -> engine pool -> commit).
-    run_registry_smoke "${TSAN_BUILD_DIR}"
+    run_registry_smoke "${TSAN_BUILD_DIR}" sanitized
     # Serve smoke under TSan: acceptor + worker threads + client all
     # contend over the ring and shared instance cache, instrumented.
     run_serve_smoke "${TSAN_BUILD_DIR}"

@@ -3,8 +3,9 @@
 
 Statically enforces repo rules that clang-tidy cannot express. Scans
 `<root>/src` (never tests/, bench/, examples/ — those have their own,
-looser conventions) and reports one `path:line: [rule] message` line per
-violation; exit status 1 if anything was found, 0 on a clean tree.
+looser conventions), plus README.md's references to bench programs, and
+reports one `path:line: [rule] message` line per violation; exit status
+1 if anything was found, 0 on a clean tree.
 
 Rules
 -----
@@ -47,6 +48,12 @@ counter-name  No `CounterId::Counter("engine.` literal in src/ outside
               engine_counters:: handles (stream/engine_context.h). A
               second spelling of a name can drift from the first without
               any compiler noticing.
+bench-ref     Every `bench_<name>` that <root>/README.md names is a bench
+              target in <root>/bench/CMakeLists.txt (an entry of
+              STREAMSC_BENCHES or an add_executable), and every
+              `bench_<name>.h`/`.cc` it names is a file in bench/: README
+              never credits a number to a bench that no longer exists.
+              Skipped when either file is missing.
 
 Usage
 -----
@@ -110,6 +117,12 @@ CHRONO_EXEMPT_LAYERS = {"util", "obs"}
 ENGINE_COUNTER_RE = re.compile(r'CounterId\s*::\s*Counter\s*\(\s*"engine\.')
 COUNTER_CALL_RE = re.compile(r'CounterId\s*::\s*Counter\s*\(\s*"')
 ENGINE_COUNTER_HOME = pathlib.Path("stream/engine_context.cc")
+
+# bench-ref: a bench name in README.md (a file name when it carries a
+# source suffix), and the two ways bench/CMakeLists.txt declares one.
+BENCH_REF_RE = re.compile(r"(?<![A-Za-z0-9_])(bench_[a-z0-9_]+)(\.(?:h|cc))?")
+BENCH_LIST_RE = re.compile(r"set\(\s*STREAMSC_BENCHES\b([^)]*)\)")
+BENCH_EXECUTABLE_RE = re.compile(r"add_executable\(\s*(bench_[a-z0-9_]+)")
 
 
 def transitive_closure(deps: dict[str, set[str]]) -> dict[str, set[str]]:
@@ -261,6 +274,41 @@ def lint_file(path: pathlib.Path, layer: str, rel: pathlib.Path,
     return violations
 
 
+def bench_targets(cmake: pathlib.Path) -> set[str]:
+    text = "\n".join(line.split("#", 1)[0]
+                     for line in cmake.read_text(encoding="utf-8").split("\n"))
+    targets = set(BENCH_EXECUTABLE_RE.findall(text))
+    for listed in BENCH_LIST_RE.findall(text):
+        targets.update(listed.split())
+    return targets
+
+
+def lint_bench_refs(root: pathlib.Path) -> list[Violation]:
+    readme = root / "README.md"
+    cmake = root / "bench" / "CMakeLists.txt"
+    if not readme.is_file() or not cmake.is_file():
+        return []
+    targets = bench_targets(cmake)
+    violations: list[Violation] = []
+    lines = readme.read_text(encoding="utf-8").split("\n")
+    for lineno, line in enumerate(lines, start=1):
+        for match in BENCH_REF_RE.finditer(line):
+            name, suffix = match.group(1), match.group(2)
+            if suffix:
+                if not (root / "bench" / (name + suffix)).is_file():
+                    violations.append(Violation(
+                        pathlib.Path("README.md"), lineno, "bench-ref",
+                        f"README names bench/{name}{suffix}, which does "
+                        "not exist"))
+            elif name not in targets:
+                violations.append(Violation(
+                    pathlib.Path("README.md"), lineno, "bench-ref",
+                    f"README names {name}, which is not a bench target "
+                    "in bench/CMakeLists.txt — cite what measures it "
+                    "now, or drop the claim"))
+    return violations
+
+
 def lint_tree(root: pathlib.Path) -> list[Violation]:
     src = root / "src"
     if not src.is_dir():
@@ -276,6 +324,7 @@ def lint_tree(root: pathlib.Path) -> list[Violation]:
         layer = parts[0] if len(parts) > 1 else ""
         counter_home = path.relative_to(src) == ENGINE_COUNTER_HOME
         violations.extend(lint_file(path, layer, rel, counter_home))
+    violations.extend(lint_bench_refs(root))
     return violations
 
 
@@ -292,7 +341,7 @@ def main() -> int:
 
     if args.list_rules:
         for rule in ("layer-dag", "raw-assert", "determinism", "engine-ptr",
-                     "arena-ptr", "chrono", "counter-name"):
+                     "arena-ptr", "chrono", "counter-name", "bench-ref"):
             print(rule)
         return 0
 

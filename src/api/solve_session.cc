@@ -134,7 +134,6 @@ Status SolveSession::Reopen(const std::string& path) {
   source_ = Source::kNone;
   path_.clear();
   stream_.reset();
-  file_stream_ = nullptr;
   owned_system_.reset();
   overlay_ = nullptr;
   memo_.clear();
@@ -149,7 +148,6 @@ Status SolveSession::Reopen(const std::string& path) {
   }
   auto stream = std::make_unique<FileSetStream>(path);
   if (!stream->status().ok()) return stream->status();
-  file_stream_ = stream.get();
   stream_ = std::move(stream);
   source_ = Source::kFile;
   path_ = path;
@@ -239,7 +237,6 @@ Status SolveSession::EnsureBufferable() {
   StatusOr<SetSystem> loaded = LoadSetSystem(path_);
   if (!loaded.ok()) return loaded.status();
   owned_system_ = std::make_unique<SetSystem>(std::move(*loaded));
-  file_stream_ = nullptr;
   stream_ = std::make_unique<VectorSetStream>(*owned_system_);
   source_ = Source::kMemory;
   return Status::Ok();
@@ -293,17 +290,6 @@ StatusOr<SolveReport> SolveSession::Solve(
     const Status status = EnsureBufferable();
     if (!status.ok()) return status;
   }
-  // A text source reports parse errors only through status(), and a
-  // solver may end its passes before a defect late in the file. One full
-  // pass before the first run makes threads=1 reject exactly what
-  // LoadSetSystem rejects at threads > 1, instead of solving a prefix.
-  if (file_stream_ != nullptr && !file_stream_->fully_parsed()) {
-    file_stream_->BeginPass();
-    StreamItem item;
-    while (file_stream_->Next(&item)) {
-    }
-    if (!file_stream_->status().ok()) return file_stream_->status();
-  }
 
   // The engine lives exactly as long as this run — the session is the
   // single owner of execution resources, which is what makes per-run
@@ -341,8 +327,12 @@ StatusOr<SolveReport> SolveSession::Solve(
     // Budget throws happen only on the orchestrator thread, outside any
     // in-flight parallel section (workers never touch the run arena), so
     // unwinding here leaves the engine and stream reusable.
+    // With no memory_budget, the limit a solver planned against is the
+    // host's physical memory.
+    const std::string limit =
+        memory_budget != 0 ? "memory_budget=" : "physical memory of ";
     return Status::ResourceExhausted(
-        "solve '" + solver + "' exceeded memory_budget=" +
+        "solve '" + solver + "' exceeded " + limit +
         std::to_string(e.budget()) + " bytes (run arena would have reached " +
         std::to_string(e.attempted()) + " bytes)");
   }

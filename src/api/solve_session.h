@@ -46,7 +46,6 @@
 
 namespace streamsc {
 
-class FileSetStream;
 class OverlaySetStream;
 class TraceRecorder;
 struct RunContext;
@@ -202,10 +201,6 @@ class SolveSession {
   // (chunk-retaining) before each run. unique_ptr because the session is
   // movable and arenas are pinned by design.
   std::unique_ptr<MonotonicArena> run_arena_;
-  // Non-owning view of stream_ when it is a FileSetStream: text parse
-  // errors surface through status() after the run, so Solve() must be
-  // able to read it without downcasting.
-  FileSetStream* file_stream_ = nullptr;
   // Non-owning view of stream_ when it is an OverlaySetStream (the
   // dynamic-instance source): RefreshDelta and the warm-start path need
   // the overlay surface without downcasting.

@@ -2,12 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+
+#if defined(__unix__) || defined(__APPLE__)
+#include <unistd.h>
+#endif
 
 #include "core/cover_run.h"
 #include "obs/trace.h"
 #include "offline/exact_max_coverage.h"
 #include "offline/greedy.h"
 #include "stream/engine_context.h"
+#include "util/arena.h"
 #include "util/check.h"
 #include "util/math.h"
 #include "util/space_meter.h"
@@ -18,6 +24,48 @@ namespace {
 // Interned metering categories (hot path: array index per Charge).
 const SpaceCategory kSampleUniverseCat("sample-universe");
 const SpaceCategory kCandidatesCat("candidates");
+
+// Bytes the sieve's lanes take before its pass: an n-bit covered set and
+// k chosen ids for each guess (1+eps)^j in [1, k*n]. Closed form, because
+// a tiny epsilon makes the lane count too large to count by stepping.
+double PlannedLaneBytes(std::size_t n, std::size_t k, double growth) {
+  const double top = static_cast<double>(k) * static_cast<double>(n);
+  if (top < 1.0) return 0.0;
+  const double lanes = std::floor(std::log(top) / std::log(growth)) + 1.0;
+  const double lane_bytes = static_cast<double>(
+      CeilDiv(n, DynamicBitset::kBitsPerWord) * sizeof(DynamicBitset::Word) +
+      k * sizeof(SetId));
+  return lanes * lane_bytes;
+}
+
+// Throws ArenaBudgetExceeded, before anything is allocated, when the lanes
+// would not fit the arena's budget or, with no budget, the host's
+// physical memory.
+void CheckLanePlan(double planned, const MonotonicArena* arena) {
+  std::size_t used = 0;
+  std::size_t limit = 0;
+  if (arena != nullptr && arena->budget() != 0) {
+    used = arena->bytes_used();
+    limit = arena->budget();
+  } else {
+#if defined(__unix__) || defined(__APPLE__)
+    const long pages = ::sysconf(_SC_PHYS_PAGES);
+    const long page_size = ::sysconf(_SC_PAGESIZE);
+    if (pages > 0 && page_size > 0) {
+      limit = static_cast<std::size_t>(pages) *
+              static_cast<std::size_t>(page_size);
+    }
+#endif
+  }
+  const double total = static_cast<double>(used) + planned;
+  if (limit != 0 && total > static_cast<double>(limit)) {
+    constexpr double kMax =
+        static_cast<double>(std::numeric_limits<std::size_t>::max());
+    throw ArenaBudgetExceeded(
+        limit, total >= kMax ? std::numeric_limits<std::size_t>::max()
+                             : static_cast<std::size_t>(total));
+  }
+}
 
 }  // namespace
 
@@ -137,6 +185,7 @@ MaxCoverageRunResult SieveMaxCoverage::Run(SetStream& stream, std::size_t k,
     DynamicBitset covered;
     ArenaVector<SetId> chosen;
   };
+  CheckLanePlan(PlannedLaneBytes(n, k, 1.0 + config_.epsilon), ctx.arena());
   ArenaVector<Candidate> candidates{ctx.alloc<Candidate>()};
   for (double v = 1.0; v <= static_cast<double>(k) * static_cast<double>(n);
        v *= (1.0 + config_.epsilon)) {

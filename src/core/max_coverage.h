@@ -80,6 +80,9 @@ class SieveMaxCoverage : public StreamingMaxCoverageAlgorithm {
   /// The engine in \p context (if any) runs the OPT-guess lanes of the
   /// sieve in parallel — each lane's state depends only on its own
   /// history, so the result is bit-identical for any thread count.
+  /// Throws ArenaBudgetExceeded before building any lane when the lanes
+  /// would exceed the run arena's budget or, with no budget, the host's
+  /// physical memory.
   MaxCoverageRunResult Run(SetStream& stream, std::size_t k,
                            const RunContext& context) override;
 

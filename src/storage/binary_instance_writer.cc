@@ -1,6 +1,8 @@
 #include "storage/binary_instance_writer.h"
 
-#include "stream/stream_adapters.h"
+#include <fstream>
+
+#include "instance/serialization.h"
 
 namespace streamsc {
 
@@ -57,16 +59,24 @@ Status BinaryInstanceWriter::WriteSystem(const SetSystem& system,
 
 Status BinaryInstanceWriter::TranscodeText(const std::string& text_path,
                                            const std::string& binary_path) {
-  FileSetStream source(text_path);
-  if (!source.status().ok()) return source.status();
-  BinaryInstanceWriter writer(binary_path, source.universe_size(),
-                              source.num_sets());
-  source.BeginPass();
-  StreamItem item;
-  while (writer.status().ok() && source.Next(&item)) writer.AddSet(item.set);
-  // A clean end-of-stream and a mid-file parse error both end the pass;
-  // only the stream's status tells them apart.
-  if (!source.status().ok()) return source.status();
+  std::ifstream in;
+  const Status opened = OpenSsc1File(text_path, &in);
+  if (!opened.ok()) return opened;
+  Ssc1Reader reader(in);
+  const Status header = reader.ReadHeader();
+  if (!header.ok()) return header;
+  BinaryInstanceWriter writer(binary_path, reader.universe_size(),
+                              reader.num_sets());
+  DynamicBitset set(reader.universe_size());
+  for (std::size_t i = 0; i < reader.num_sets() && writer.status().ok();
+       ++i) {
+    const Status parsed = reader.ReadSet(&set);
+    if (!parsed.ok()) return parsed;
+    writer.AddSet(SetView(set));
+  }
+  if (!writer.status().ok()) return writer.status();
+  const Status end = reader.ReadEnd();
+  if (!end.ok()) return end;
   return writer.Finish();
 }
 

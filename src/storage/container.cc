@@ -5,6 +5,8 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <system_error>
 #include <utility>
 
 #include "util/file_probe.h"
@@ -116,7 +118,15 @@ FileWriter::FileWriter(const Format& format, const std::string& path,
     out_.seekp(0, std::ios::end);
     offset_ = static_cast<std::uint64_t>(out_.tellp());
   } else {
-    temp_path_ = SiblingPath(path);
+    // Write through a symlink: the rename replaces the file it resolves
+    // to, so the link stays a link.
+    std::error_code error;
+    if (std::filesystem::is_symlink(path, error)) {
+      const std::filesystem::path target =
+          std::filesystem::canonical(path, error);
+      if (!error) path_ = target.string();
+    }
+    temp_path_ = SiblingPath(path_);
     out_.open(temp_path_, std::ios::binary | std::ios::out | std::ios::trunc);
     // Provisional: Finish() fills in the format word and file_size.
     out_.write(reinterpret_cast<const char*>(&header_), sizeof(header_));

@@ -66,10 +66,10 @@ class FileWriter {
   enum class Mode { kCreate, kAppend };
 
   /// Checks the host and the dimensions, then opens: in create mode a
-  /// sibling of \p path, headed by a provisional header; in append mode
-  /// \p path itself (which must exist), at its end. An existing \p path
-  /// that is not a regular file is InvalidArgument, found without
-  /// blocking.
+  /// sibling of \p path (of the file it resolves to, if \p path is a
+  /// symlink), headed by a provisional header; in append mode \p path
+  /// itself (which must exist), at its end. An existing \p path that is
+  /// not a regular file is InvalidArgument, found without blocking.
   FileWriter(const Format& format, const std::string& path,
              std::uint64_t universe_size, std::uint64_t num_sets, Mode mode);
 

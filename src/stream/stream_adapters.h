@@ -22,30 +22,25 @@ namespace streamsc {
 /// LoadSetSystem accepts and reports the same errors. Holds exactly one
 /// set in memory at a time.
 ///
-/// Error contract: problems visible up front (missing file, bad header)
-/// and parse errors on a file no pass has yet streamed end to end report
-/// through status(). The end of the document is checked when the last set
-/// is read (or at open when m = 0), so trailing content fails that read.
-/// Once one pass has parsed all m sets cleanly, later failures — file
-/// deleted, truncated, or reshaped between passes — STREAMSC_CHECK-abort
-/// in all build modes: silently ending a re-read early would hand the
-/// algorithm a different instance than the one it already half-processed.
+/// Error contract: the constructor parses the whole document once, so an
+/// ok status() means every set line and the end of the file are valid —
+/// whatever point an algorithm stops reading at. A stream whose open
+/// failed serves no items. Later failures — the file deleted, truncated
+/// or reshaped between passes — STREAMSC_CHECK-abort in all build modes:
+/// silently ending a re-read early would hand the algorithm a different
+/// instance than the one it already half-processed.
 class FileSetStream : public SetStream {
  public:
-  /// Opens \p path and validates the header eagerly; check status()
-  /// before streaming.
+  /// Opens \p path and validates the whole document in one pass; check
+  /// status() before streaming.
   explicit FileSetStream(std::string path);
 
   /// Not copyable (owns a file handle position).
   FileSetStream(const FileSetStream&) = delete;
   FileSetStream& operator=(const FileSetStream&) = delete;
 
-  /// Ok iff the file opened and the header parsed.
+  /// Ok iff the file opened and the whole document parsed.
   const Status& status() const { return status_; }
-
-  /// True once some pass has streamed every set and the end of the
-  /// document cleanly (the point after which parse errors abort).
-  bool fully_parsed() const { return fully_parsed_once_; }
 
   std::size_t universe_size() const override {
     return reader_.universe_size();
@@ -60,7 +55,7 @@ class FileSetStream : public SetStream {
 
  private:
   // (Re)opens the file and positions the cursor after the header.
-  void Reopen();
+  Status Reopen();
 
   std::string path_;
   Status status_;
@@ -69,9 +64,6 @@ class FileSetStream : public SetStream {
   DynamicBitset current_;
   SetId next_id_ = 0;
   std::uint64_t passes_ = 0;
-  // True once some pass parsed all m sets cleanly: from then on parse
-  // errors are environment faults (file modified mid-run) and abort.
-  bool fully_parsed_once_ = false;
 };
 
 }  // namespace streamsc

@@ -342,6 +342,37 @@ TEST(SolverRegistryErrorTest, MalformedShapesAllReport) {
   }
 }
 
+TEST(SolverRegistryErrorTest, SieveLanePlanPastPhysicalMemoryReports) {
+  // epsilon=3e-16 passes the machine-epsilon bound, but its guess grid
+  // over [1, k*n] has ~1.6e16 lanes: far more than any host holds. With no
+  // memory_budget the sieve must refuse the plan before allocating a
+  // lane, and the session must report it as RESOURCE_EXHAUSTED.
+  Rng rng(21);
+  const SetSystem system = PlantedCoverInstance(16, 4, 2, rng);
+  SolveSession session = SolveSession::OverSystem(system);
+  StatusOr<SolveReport> report =
+      session.Solve("sieve_mc", {"epsilon=3e-16", "k=2"});
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kResourceExhausted)
+      << report.status().ToString();
+  EXPECT_NE(report.status().message().find("physical memory"),
+            std::string::npos)
+      << report.status().ToString();
+
+  // The refusal comes before the lanes: a run arena with no budget is
+  // left as good as empty (one lane alone would be 16 bytes, all of them
+  // ~2.5e17).
+  StatusOr<std::unique_ptr<AnySolver>> solver =
+      SolverRegistry::Global().Create("sieve_mc", {"epsilon=3e-16", "k=2"});
+  ASSERT_TRUE(solver.ok()) << solver.status().ToString();
+  MonotonicArena arena;
+  RunContext context;
+  context.arena = &arena;
+  VectorSetStream stream(system);
+  EXPECT_THROW((void)(*solver)->Run(stream, context), ArenaBudgetExceeded);
+  EXPECT_LT(arena.high_water(), std::size_t{1} << 16);
+}
+
 TEST(SolverRegistryErrorTest, DuplicateKeyReports) {
   StatusOr<std::unique_ptr<AnySolver>> result =
       SolverRegistry::Global().Create("assadi", {"alpha=2", "alpha=3"});

@@ -11,6 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <string>
+
 #include "api/solver_registry.h"
 #include "stream/engine_context.h"
 #include "testing/solver_matrix.h"
@@ -87,6 +90,34 @@ TEST(SolverMatrixTest, SieveMaxCoverage) {
 TEST(SolverMatrixTest, ExactPairFinder) {
   RunConformanceMatrix(PairInstance(256, 20, 15), "pair_finder",
                        {"passes=4"});
+}
+
+// A planted file whose last set line repeats an id: the defect lies past
+// the point where early-stopping solvers (one_pass, threshold_greedy, ...)
+// end their passes, so the file cell must refuse it when the stream opens,
+// as the in-memory loader does, instead of solving a prefix at threads=1.
+TEST(SolverMatrixTest, LateDuplicateIdFailsTheFileCell) {
+  const SetSystem system = MatrixInstance(256, 24, 4, 18);
+  std::string text = SetSystemToString(system);
+  // The last set line is "<k> <e1> <e2> ...": repeat e1 in place of e2.
+  const std::size_t line = text.rfind('\n', text.size() - 2) + 1;
+  const std::size_t e1 = text.find(' ', line) + 1;
+  const std::size_t e2 = text.find(' ', e1) + 1;
+  const std::string first_id = text.substr(e1, e2 - e1 - 1);
+  text.replace(e2, text.find(' ', e2) - e2, first_id);
+
+  testing::ScopedTempDir dir;
+  const std::string path = dir.FilePath("late_bad.ssc");
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << text;
+  }
+  const Status loaded = LoadSetSystem(path).status();
+  ASSERT_EQ(loaded.code(), StatusCode::kInvalidArgument) << text;
+
+  // The file cell, as RunConformanceMatrix opens it.
+  const FileSetStream stream(path);
+  EXPECT_EQ(stream.status().ToString(), loaded.ToString());
 }
 
 // The matrix must also hold when the solver's stream order is a fixed

@@ -353,6 +353,26 @@ TEST(ContainerWriterTest, ConvertOntoItsOwnInput) {
   EXPECT_EQ(ReadFile(path), ReadFile(expected));
 }
 
+TEST(ContainerWriterTest, ConvertWritesThroughASymlink) {
+  ScopedTempDir dir;
+  const SetSystem system = Planted(5, 10);
+  const std::string text = dir.FilePath("in.ssc");
+  const std::string expected = dir.FilePath("expected.sscb1");
+  const std::string real = dir.FilePath("real.sscb1");
+  const std::string link = dir.FilePath("link.sscb1");
+  ASSERT_TRUE(SaveSetSystem(system, text).ok());
+  ASSERT_TRUE(BinaryInstanceWriter::WriteSystem(system, expected).ok());
+  WriteFile(real, "previous sscb1 bytes");
+  std::filesystem::create_symlink("real.sscb1", link);
+  const std::vector<std::string> entries = DirEntries(dir);
+
+  ASSERT_TRUE(BinaryInstanceWriter::TranscodeText(text, link).ok());
+  EXPECT_TRUE(std::filesystem::is_symlink(link));
+  EXPECT_EQ(std::filesystem::read_symlink(link), "real.sscb1");
+  EXPECT_EQ(ReadFile(real), ReadFile(expected));
+  EXPECT_EQ(DirEntries(dir), entries);
+}
+
 TEST(ContainerWriterTest, FailedWritesLeaveTheTargetAndNoTempFile) {
   ScopedTempDir dir;
   const std::string sscb1_path = dir.FilePath("out.sscb1");

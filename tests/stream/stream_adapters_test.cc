@@ -126,8 +126,8 @@ TEST(FileSetStreamTest, MalformedFileReportsStatus) {
 }
 
 TEST(FileSetStreamTest, FirstPassParseErrorsReportThroughStatus) {
-  // A good header with a corrupt body: the check-status()-then-stream
-  // contract covers the first pass, so this stays quiet (no abort).
+  // A good header with a corrupt body: the validating pass at open finds
+  // it, and a stream whose open failed serves nothing (no abort).
   const testing::ScopedTempDir dir;
   const std::string path = dir.FilePath("bad_body.ssc");
   {
@@ -135,21 +135,18 @@ TEST(FileSetStreamTest, FirstPassParseErrorsReportThroughStatus) {
     out << "ssc1 8 2\n2 0 1\n3 0 99 2\n";  // element 99 out of range
   }
   FileSetStream stream(path);
-  ASSERT_TRUE(stream.status().ok());
-  stream.BeginPass();
-  StreamItem item;
-  EXPECT_TRUE(stream.Next(&item));
-  EXPECT_FALSE(stream.Next(&item));
   EXPECT_FALSE(stream.status().ok());
   EXPECT_EQ(stream.status().code(), StatusCode::kInvalidArgument);
+  stream.BeginPass();
+  StreamItem item;
+  EXPECT_FALSE(stream.Next(&item));
 }
 
 TEST(FileSetStreamTest, ErrorsPastAnAbandonedPassStayQuiet) {
   // A statically corrupt file whose bad line lies beyond the point where
-  // pass 1 stopped reading (algorithms abandon passes early, e.g. once
-  // everything is covered) must keep reporting through status() on later
-  // passes: only a file some pass has parsed end to end can trigger the
-  // modified-between-passes abort.
+  // an algorithm would stop reading (algorithms abandon passes early,
+  // e.g. once everything is covered) is rejected at open, so no pass ever
+  // streams a prefix of it; later passes stay quiet instead of aborting.
   const testing::ScopedTempDir dir;
   const std::string path = dir.FilePath("late_corruption.ssc");
   {
@@ -157,16 +154,13 @@ TEST(FileSetStreamTest, ErrorsPastAnAbandonedPassStayQuiet) {
     out << "ssc1 8 3\n1 0\n1 1\nnot-a-set-line\n";
   }
   FileSetStream stream(path);
-  ASSERT_TRUE(stream.status().ok());
-  stream.BeginPass();
-  StreamItem item;
-  EXPECT_TRUE(stream.Next(&item));  // abandon the pass after one item
-
-  stream.BeginPass();  // must not abort: the file never parsed fully
-  EXPECT_TRUE(stream.Next(&item));
-  EXPECT_TRUE(stream.Next(&item));
-  EXPECT_FALSE(stream.Next(&item));  // hits the bad line -> quiet status
   EXPECT_FALSE(stream.status().ok());
+  EXPECT_EQ(stream.status().code(), StatusCode::kInvalidArgument);
+  StreamItem item;
+  for (int pass = 0; pass < 2; ++pass) {
+    stream.BeginPass();  // must not abort: the file never parsed fully
+    EXPECT_FALSE(stream.Next(&item));
+  }
   EXPECT_EQ(stream.status().code(), StatusCode::kInvalidArgument);
 }
 
@@ -176,8 +170,8 @@ void WriteText(const std::string& path, const std::string& text) {
 }
 
 TEST(FileSetStreamTest, FirstFullPassRejectsWhatLoadSetSystemRejects) {
-  // Each document has a good header, so the stream opens; the defect
-  // surfaces on the first full pass, with LoadSetSystem's own error.
+  // Each document has a good header; the defect surfaces at open, on the
+  // validating first full pass, with LoadSetSystem's own error.
   const testing::ScopedTempDir dir;
   const std::string path = dir.FilePath("strict.ssc");
   for (const char* text : {
@@ -187,12 +181,7 @@ TEST(FileSetStreamTest, FirstFullPassRejectsWhatLoadSetSystemRejects) {
        }) {
     SCOPED_TRACE(text);
     WriteText(path, text);
-    FileSetStream stream(path);
-    ASSERT_TRUE(stream.status().ok()) << stream.status().ToString();
-    stream.BeginPass();
-    StreamItem item;
-    while (stream.Next(&item)) {
-    }
+    const FileSetStream stream(path);
     EXPECT_EQ(stream.status().code(), StatusCode::kInvalidArgument);
     EXPECT_EQ(stream.status().ToString(),
               LoadSetSystem(path).status().ToString());
@@ -205,8 +194,8 @@ TEST(FileSetStreamTest, FirstFullPassRejectsWhatLoadSetSystemRejects) {
 }
 
 // Every document of the parser's mutation corpus, replayed from a file: a
-// full FileSetStream pass must accept exactly what SetSystemFromString
-// accepts, serve the same sets, and fail with the same error otherwise.
+// FileSetStream must open exactly what SetSystemFromString accepts, serve
+// the same sets, and fail at open with the same error otherwise.
 class FileSetStreamAgreementTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(FileSetStreamAgreementTest, FullPassMatchesSetSystemFromString) {
@@ -217,27 +206,23 @@ TEST_P(FileSetStreamAgreementTest, FullPassMatchesSetSystemFromString) {
     WriteText(path, text);
     const StatusOr<SetSystem> parsed = SetSystemFromString(text);
     FileSetStream stream(path);
-    std::size_t streamed = 0;
-    if (stream.status().ok()) {
-      stream.BeginPass();
-      StreamItem item;
-      while (stream.Next(&item)) {
-        if (parsed.ok()) {
-          ASSERT_LT(item.id, parsed->num_sets());
-          EXPECT_TRUE(item.set == parsed->set(item.id));
-        }
-        ++streamed;
-      }
-    }
     ASSERT_EQ(stream.status().ok(), parsed.ok())
         << stream.status().ToString() << " vs "
         << parsed.status().ToString();
-    if (parsed.ok()) {
-      EXPECT_EQ(stream.universe_size(), parsed->universe_size());
-      EXPECT_EQ(streamed, parsed->num_sets());
-    } else {
+    if (!parsed.ok()) {
       EXPECT_EQ(stream.status().ToString(), parsed.status().ToString());
+      continue;
     }
+    std::size_t streamed = 0;
+    stream.BeginPass();
+    StreamItem item;
+    while (stream.Next(&item)) {
+      ASSERT_LT(item.id, parsed->num_sets());
+      EXPECT_TRUE(item.set == parsed->set(item.id));
+      ++streamed;
+    }
+    EXPECT_EQ(stream.universe_size(), parsed->universe_size());
+    EXPECT_EQ(streamed, parsed->num_sets());
   }
 }
 

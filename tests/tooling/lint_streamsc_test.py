@@ -98,13 +98,17 @@ class LintStreamscTest(unittest.TestCase):
                              "counter-name")
         self.assert_reported(result, "src/stream/bad_counters.cc", 3,
                              "counter-name")
+        # README naming a bench that bench/CMakeLists.txt no longer
+        # builds; the listed target, the add_executable target and the
+        # existing bench/ header on the line before are not reported.
+        self.assert_reported(result, "README.md", 4, "bench-ref")
 
     def test_violation_count_is_exact(self):
         """No over-reporting: exactly the planted violations, nothing
         from comments, string literals, or the clean lines around them."""
         result = run_linter("--root", str(FIXTURES / "violations"))
         reported = [l for l in result.stdout.splitlines() if "[" in l]
-        self.assertEqual(len(reported), 18, result.stdout)
+        self.assertEqual(len(reported), 19, result.stdout)
 
     def test_real_tree_is_clean(self):
         """The wall starts (and stays) at zero violations on the repo."""
@@ -119,7 +123,7 @@ class LintStreamscTest(unittest.TestCase):
         rules = result.stdout.split()
         self.assertEqual(
             rules, ["layer-dag", "raw-assert", "determinism", "engine-ptr",
-                    "arena-ptr", "chrono", "counter-name"])
+                    "arena-ptr", "chrono", "counter-name", "bench-ref"])
 
 
 class TidyGatingTest(unittest.TestCase):
