@@ -29,12 +29,13 @@
 //   workload_tool solve <path> <solver> [key=value ...] [--trace=FILE]
 //                 [--stats]
 //       e.g.: solve w.sscb1 assadi alpha=3 threads=4
-//       `threads` is a session option: the SolveSession owns the
-//       ParallelPassEngine for the run (identical results for any
-//       count). Binary inputs stream through MmapSetStream, so
-//       multi-pass solves cost zero re-parsing and shard even from
-//       disk; text inputs stream one set at a time (and are loaded
-//       into memory when threads > 1).
+//       Prints the run's report table, then a `chosen:` line with the
+//       solution's set ids in take order. `threads` is a session
+//       option: the SolveSession owns the ParallelPassEngine for the
+//       run (identical results for any count). Binary inputs stream
+//       through MmapSetStream, so multi-pass solves cost zero
+//       re-parsing and shard even from disk; text inputs stream one
+//       set at a time (and are loaded into memory when threads > 1).
 //       --trace=FILE arms a TraceRecorder for the run and writes a
 //       chrome://tracing JSON file (per-pass and per-shard spans) plus
 //       a per-pass breakdown table; --stats prints the run's counter
@@ -237,7 +238,7 @@ int Info(int argc, char** argv) {
   StreamItem item;
   stream->BeginPass();
   while (stream->Next(&item)) {
-    const Count size = item.set.CountSet();
+    const Count size = item.count;
     min_size = std::min(min_size, size);
     max_size = std::max(max_size, size);
     incidences += size;
@@ -606,6 +607,9 @@ int Solve(int argc, char** argv) {
   }
   add("wall ms", std::to_string(report->wall_seconds * 1e3));
   table.Print(std::cout);
+  std::cout << "chosen:";
+  for (const SetId id : report->solution.chosen) std::cout << ' ' << id;
+  std::cout << "\n";
 
   if (!report->pass_breakdown.empty()) {
     std::cout << "\nper-pass breakdown:\n";

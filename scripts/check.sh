@@ -131,6 +131,25 @@ run_registry_smoke() {
     echo "convert through a symlink replaced the link" >&2
     return 1
   fi
+  # sieve_mc skips a lane on the item's stored member count, which the
+  # text reader, the mapped sscb1 index and the parallel engine's
+  # buffered pass each supply: all three must choose the same sets, and
+  # take and cover the same totals over every lane.
+  echo "registry smoke (${build_dir}): sieve_mc agrees across sources"
+  sieve_report() {
+    "${tool}" solve "$1" sieve_mc k=3 "${@:2}" |
+      grep -E '^chosen:|^\| (coverage|sets taken|elements covered) '
+  }
+  local sieve_text sieve_mmap sieve_mmap4
+  sieve_text="$(sieve_report "${tmp}/smoke.ssc")"
+  sieve_mmap="$(sieve_report "${tmp}/smoke.sscb1")"
+  sieve_mmap4="$(sieve_report "${tmp}/smoke.sscb1" threads=4)"
+  if [[ -z "${sieve_text}" || "${sieve_text}" != "${sieve_mmap}" ||
+        "${sieve_text}" != "${sieve_mmap4}" ]]; then
+    printf 'sieve_mc k=3 differs across sources:\n%s\n---\n%s\n---\n%s\n' \
+      "${sieve_text}" "${sieve_mmap}" "${sieve_mmap4}" >&2
+    return 1
+  fi
   # sieve_mc plans its lanes before building them: a guess grid far past
   # physical memory is a typed error, not std::bad_alloc (exit 134). The
   # address-space cap keeps a regression from taking the host's memory;

@@ -175,7 +175,9 @@ MaxCoverageRunResult SieveMaxCoverage::Run(SetStream& stream, std::size_t k,
   EngineContext& ctx = run.ctx();
 
   // One candidate solution per OPT guess v on the grid (1+ε)^j in
-  // [1, k·n]. Each candidate retains its covered-elements bitset. All
+  // [1, k·n]. Each candidate retains its covered-elements bitset and
+  // that bitset's popcount: a take sets exactly `gain` new bits, so the
+  // running count is a cache of `covered`, never metered on its own. All
   // lanes live on the run arena and are fully sized here on the
   // orchestrator thread: each chosen list reserves its k-set capacity up
   // front, so worker-thread pushes during the scan never allocate (the
@@ -184,6 +186,7 @@ MaxCoverageRunResult SieveMaxCoverage::Run(SetStream& stream, std::size_t k,
     double guess;
     DynamicBitset covered;
     ArenaVector<SetId> chosen;
+    Count covered_count = 0;
   };
   CheckLanePlan(PlannedLaneBytes(n, k, 1.0 + config_.epsilon), ctx.arena());
   ArenaVector<Candidate> candidates{ctx.alloc<Candidate>()};
@@ -198,21 +201,25 @@ MaxCoverageRunResult SieveMaxCoverage::Run(SetStream& stream, std::size_t k,
 
   // Every guess is an independent lane: its take decisions depend only on
   // its own covered/chosen state and the item sequence, so the lanes can
-  // be scanned in parallel without changing any of them.
+  // be scanned in parallel without changing any of them. A lane that is
+  // full, or that needs more than the set's member count (the gain
+  // |S \ covered| is at most |S|), costs O(1); only the rest run the gain
+  // kernel.
   const std::int64_t sieve_start =
       ctx.trace() != nullptr ? TraceRecorder::NowNs() : 0;
   ctx.IndependentScanPass(
       candidates.size(), [&](std::size_t lane, const StreamItem& item) {
         Candidate& cand = candidates[lane];
         if (cand.chosen.size() >= k) return;
-        const Count gain = item.set.CountAndNot(cand.covered);
         const double needed =
-            (cand.guess / 2.0 -
-             static_cast<double>(cand.covered.CountSet())) /
+            (cand.guess / 2.0 - static_cast<double>(cand.covered_count)) /
             static_cast<double>(k - cand.chosen.size());
+        if (static_cast<double>(item.count) < needed) return;
+        const Count gain = item.set.CountAndNot(cand.covered);
         if (static_cast<double>(gain) >= needed && gain > 0) {
           cand.chosen.push_back(item.id);
           item.set.OrInto(cand.covered);
+          cand.covered_count += gain;
         }
       });
 
@@ -230,7 +237,7 @@ MaxCoverageRunResult SieveMaxCoverage::Run(SetStream& stream, std::size_t k,
   std::uint64_t lane_takes = 0;
   std::uint64_t lane_covered = 0;
   for (const Candidate& cand : candidates) {
-    const Count cov = cand.covered.CountSet();
+    const Count cov = cand.covered_count;
     lane_takes += cand.chosen.size();
     lane_covered += cov;
     if (cov > best_coverage || best == nullptr) {

@@ -68,7 +68,10 @@ struct SieveMcConfig {
   double epsilon = 0.1;  ///< Guess-grid resolution (1+ε).
 };
 
-/// Single-pass threshold sieve baseline.
+/// Single-pass threshold sieve baseline. Per item, a lane that is full,
+/// or whose take rule asks for more than the set's member count
+/// (StreamItem::count bounds the gain), costs O(1); every other lane runs
+/// one gain kernel on the set.
 class SieveMaxCoverage : public StreamingMaxCoverageAlgorithm {
  public:
   explicit SieveMaxCoverage(SieveMcConfig config = {});

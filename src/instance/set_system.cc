@@ -11,7 +11,7 @@ bool SetSystem::WantsSparse(Count count) const {
          sparsity_threshold_ * static_cast<double>(universe_size_);
 }
 
-SetId SetSystem::PushDense(DynamicBitset set) {
+SetId SetSystem::PushDense(DynamicBitset set, Count count) {
   // Re-home payloads whose buffers live outside this system's storage —
   // including scratch-backed payloads entering a *heap* system: moving
   // one in would smuggle the scratch binding (and its pass-lifetime
@@ -22,11 +22,12 @@ SetId SetSystem::PushDense(DynamicBitset set) {
   } else {
     dense_.push_back(std::move(set));
   }
-  slots_.push_back({Rep::kDense, static_cast<std::uint32_t>(dense_.size() - 1)});
+  slots_.push_back(
+      {Rep::kDense, static_cast<std::uint32_t>(dense_.size() - 1), count});
   return static_cast<SetId>(slots_.size() - 1);
 }
 
-SetId SetSystem::PushSparse(SparseSet set) {
+SetId SetSystem::PushSparse(SparseSet set, Count count) {
   const ArenaAllocator<ElementId> want{arena_};
   if (!(set.get_allocator() == want)) {
     sparse_.emplace_back(set, want);
@@ -34,48 +35,54 @@ SetId SetSystem::PushSparse(SparseSet set) {
     sparse_.push_back(std::move(set));
   }
   slots_.push_back(
-      {Rep::kSparse, static_cast<std::uint32_t>(sparse_.size() - 1)});
+      {Rep::kSparse, static_cast<std::uint32_t>(sparse_.size() - 1), count});
   return static_cast<SetId>(slots_.size() - 1);
 }
 
 SetId SetSystem::AddSet(DynamicBitset set) {
   STREAMSC_CHECK(set.size() == universe_size_,
                  "SetSystem::AddSet: set universe size mismatches the system");
-  if (WantsSparse(set.CountSet())) {
+  const Count count = set.CountSet();
+  if (WantsSparse(count)) {
     return PushSparse(
-        SparseSet::FromBitset(set, ArenaAllocator<ElementId>(arena_)));
+        SparseSet::FromBitset(set, ArenaAllocator<ElementId>(arena_)), count);
   }
-  return PushDense(std::move(set));
+  return PushDense(std::move(set), count);
 }
 
 SetId SetSystem::AddSet(SparseSet set) {
   STREAMSC_CHECK(set.size() == universe_size_,
                  "SetSystem::AddSet: set universe size mismatches the system");
-  if (WantsSparse(set.span().CountSet())) return PushSparse(std::move(set));
+  const Count count = set.span().CountSet();
+  if (WantsSparse(count)) return PushSparse(std::move(set), count);
   return PushDense(
-      SetView(set).ToDense(ArenaAllocator<DynamicBitset::Word>(arena_)));
+      SetView(set).ToDense(ArenaAllocator<DynamicBitset::Word>(arena_)),
+      count);
 }
 
 SetId SetSystem::AddSetFromIndices(std::span<const ElementId> indices) {
   // Range validation happens inside FromIndices (one post-sort check).
   SparseSet sparse = SparseSet::FromIndices(universe_size_, indices,
                                             ArenaAllocator<ElementId>(arena_));
-  if (WantsSparse(sparse.span().CountSet())) {
-    return PushSparse(std::move(sparse));
-  }
+  const Count count = sparse.span().CountSet();
+  if (WantsSparse(count)) return PushSparse(std::move(sparse), count);
   return PushDense(
-      SetView(sparse).ToDense(ArenaAllocator<DynamicBitset::Word>(arena_)));
+      SetView(sparse).ToDense(ArenaAllocator<DynamicBitset::Word>(arena_)),
+      count);
 }
 
 SetId SetSystem::AddSetFromView(SetView view) {
   STREAMSC_CHECK(view.valid() && view.size() == universe_size_,
                  "SetSystem::AddSetFromView: view mismatches the system");
-  if (WantsSparse(view.CountSet())) {
+  const Count count = view.CountSet();
+  if (WantsSparse(count)) {
     // ToSparse materializes straight into this system's allocator (its
     // emitted ids are sorted, unique, and in-range by construction).
-    return PushSparse(view.ToSparse(ArenaAllocator<ElementId>(arena_)));
+    return PushSparse(view.ToSparse(ArenaAllocator<ElementId>(arena_)),
+                      count);
   }
-  return PushDense(view.ToDense(ArenaAllocator<DynamicBitset::Word>(arena_)));
+  return PushDense(view.ToDense(ArenaAllocator<DynamicBitset::Word>(arena_)),
+                   count);
 }
 
 SetView SetSystem::set(SetId id) const {
@@ -83,6 +90,11 @@ SetView SetSystem::set(SetId id) const {
   const Slot& slot = slots_[id];
   if (slot.rep == Rep::kDense) return dense_[slot.index];
   return sparse_[slot.index];
+}
+
+Count SetSystem::SetCount(SetId id) const {
+  STREAMSC_DCHECK(id < slots_.size());
+  return slots_[id].count;
 }
 
 bool SetSystem::IsSparse(SetId id) const {

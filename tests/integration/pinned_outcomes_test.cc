@@ -15,7 +15,11 @@
 #include <string>
 #include <vector>
 
+#include "instance/generators.h"
+#include "storage/binary_instance_writer.h"
+#include "storage/mmap_set_stream.h"
 #include "stream/set_stream.h"
+#include "testing/scoped_temp_dir.h"
 #include "testing/solver_matrix.h"
 
 namespace streamsc {
@@ -28,7 +32,7 @@ using testing::SolverOutcome;
 struct PinnedRow {
   const char* solver;
   std::vector<std::string> options;
-  std::uint64_t instance_seed;  ///< MatrixInstance(320, 28, 4, seed).
+  std::uint64_t instance_seed;  ///< Seed of the table's instance.
   std::vector<SetId> chosen;
   bool feasible;
   std::uint64_t passes;
@@ -40,7 +44,8 @@ struct PinnedRow {
   std::uint64_t extra;
 };
 
-// The first seven rows are the conformance-matrix cells (same solver,
+// Instances are MatrixInstance(320, 28, 4, seed). The first seven rows
+// are the conformance-matrix cells (same solver,
 // options and instance seed as solver_matrix_test.cc); the rest reach the
 // paths those cells miss: the exact sub-solve's greedy fallback, assadi's
 // greedy-only sub-solve, a known õpt, a failed guess, and the sieve.
@@ -100,26 +105,66 @@ std::string Describe(const PinnedRow& row) {
   return s + "},";
 }
 
+// The sieve on a stored-sparse sscb1, streamed from the mapping: planted
+// blocks of 64 over [4096] (density 1/64, under the 1/32 sparse
+// threshold) and 64-member decoys. Every guess past 384 needs a first set
+// larger than any set here, so a third of the lanes never run the gain
+// kernel. Instances are SparseSieveInstance(seed); recorded before the
+// sieve read each item's stored count.
+const std::vector<PinnedRow>& SparseSieveRows() {
+  static const std::vector<PinnedRow> kRows = {
+      {"sieve_mc", {"k=3"}, 21,
+       {0, 1, 2}, true, 1, 50688, 1, 96, 189, 12096, 192},
+      {"sieve_mc", {"epsilon=0.25", "k=3"}, 22,
+       {0, 1, 2}, true, 1, 22016, 1, 96, 81, 5184, 192},
+  };
+  return kRows;
+}
+
+SetSystem SparseSieveInstance(std::uint64_t seed) {
+  Rng rng(seed);
+  return PlantedCoverInstance(4096, 96, 64, rng);
+}
+
+// Runs \p row's solver over \p stream and reads the outcome as a row.
+PinnedRow RunRow(const PinnedRow& row, SetStream& stream) {
+  const SolverOutcome out =
+      RegistrySolverFn(row.solver, row.options)(stream, nullptr);
+  return PinnedRow{row.solver,
+                   row.options,
+                   row.instance_seed,
+                   {out.chosen.begin(), out.chosen.end()},
+                   out.feasible,
+                   out.passes,
+                   out.peak_space_bytes,
+                   out.engine_passes,
+                   out.items_scanned,
+                   out.sets_taken,
+                   out.elements_covered,
+                   out.extra};
+}
+
 TEST(PinnedOutcomeTest, SamplingAndGreedySolversMatchRecordedRuns) {
   ASSERT_FALSE(PinnedRows().empty());
   for (const PinnedRow& row : PinnedRows()) {
     const SetSystem system = MatrixInstance(320, 28, 4, row.instance_seed);
     VectorSetStream stream(system);
-    const SolverOutcome out =
-        RegistrySolverFn(row.solver, row.options)(stream, nullptr);
-    const PinnedRow actual{row.solver,
-                           row.options,
-                           row.instance_seed,
-                           {out.chosen.begin(), out.chosen.end()},
-                           out.feasible,
-                           out.passes,
-                           out.peak_space_bytes,
-                           out.engine_passes,
-                           out.items_scanned,
-                           out.sets_taken,
-                           out.elements_covered,
-                           out.extra};
-    EXPECT_EQ(Describe(actual), Describe(row));
+    EXPECT_EQ(Describe(RunRow(row, stream)), Describe(row));
+  }
+}
+
+TEST(PinnedOutcomeTest, SieveOnStoredSparseSscb1MatchesRecordedRuns) {
+  testing::ScopedTempDir dir;
+  for (const PinnedRow& row : SparseSieveRows()) {
+    const SetSystem system = SparseSieveInstance(row.instance_seed);
+    ASSERT_EQ(system.MemoryUsage().dense_sets, 0u);
+    const std::string path =
+        dir.FilePath("sparse" + std::to_string(row.instance_seed) + ".sscb1");
+    ASSERT_TRUE(BinaryInstanceWriter::WriteSystem(system, path).ok());
+    MmapSetStream stream(path);
+    ASSERT_TRUE(stream.status().ok()) << stream.status().ToString();
+    ASSERT_EQ(stream.sparse_sets(), system.num_sets());
+    EXPECT_EQ(Describe(RunRow(row, stream)), Describe(row));
   }
 }
 

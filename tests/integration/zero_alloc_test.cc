@@ -212,6 +212,15 @@ TEST(ZeroAllocTest, SieveMaxCoverage) {
   ExpectZeroAllocBothWidths(Instance(320, 28, 4, 14), "sieve_mc", {"k=3"});
 }
 
+// Every set stored sparse (blocks of 64 over [4096]): most lanes skip
+// the gain kernel on the item's stored count.
+TEST(ZeroAllocTest, SieveMaxCoverageSparse) {
+  Rng rng(21);
+  const SetSystem system = PlantedCoverInstance(4096, 96, 64, rng);
+  ASSERT_EQ(system.MemoryUsage().dense_sets, 0u);
+  ExpectZeroAllocBothWidths(system, "sieve_mc", {"k=3"});
+}
+
 TEST(ZeroAllocTest, ExactPairFinder) {
   ExpectZeroAllocBothWidths(PairInstance(256, 20, 15), "pair_finder",
                             {"passes=4"});
