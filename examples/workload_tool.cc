@@ -238,7 +238,7 @@ int Info(int argc, char** argv) {
   StreamItem item;
   stream->BeginPass();
   while (stream->Next(&item)) {
-    const Count size = item.count;
+    const Count size = item.set.CountSet();
     min_size = std::min(min_size, size);
     max_size = std::max(max_size, size);
     incidences += size;

@@ -73,8 +73,6 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     });
     STREAMSC_CHECK(count == item.set.CountSet(),
                    "sscb1 view count disagrees with its elements");
-    STREAMSC_CHECK(count == item.count,
-                   "sscb1 item count disagrees with its elements");
   }
   STREAMSC_CHECK(sets_seen == stream.num_sets(),
                  "sscb1 pass length disagrees with the index");

@@ -67,15 +67,10 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                      "sscd1 appended slot without a delta payload");
     }
     if (!log.slot_from_delta(slot)) continue;
-    const streamsc::DeltaLog::Payload& payload = log.slot_payload(slot);
-    std::uint64_t count = 0;
-    payload.view.ForEach([n, &count](std::size_t element) {
+    log.slot_view(slot).ForEach([n](std::size_t element) {
       STREAMSC_CHECK(element < n,
                      "validated sscd1 payload served an out-of-range id");
-      ++count;
     });
-    STREAMSC_CHECK(count == payload.count,
-                   "sscd1 payload count disagrees with its elements");
   }
   return 0;
 }

@@ -131,10 +131,11 @@ run_registry_smoke() {
     echo "convert through a symlink replaced the link" >&2
     return 1
   fi
-  # sieve_mc skips a lane on the item's stored member count, which the
-  # text reader, the mapped sscb1 index and the parallel engine's
-  # buffered pass each supply: all three must choose the same sets, and
-  # take and cover the same totals over every lane.
+  # sieve_mc skips a lane on a sparse set's member count and keeps a
+  # running count per lane. The text reader serves dense bitsets, the
+  # mapped sscb1 serves the stored sparse sets, and threads=4 shards
+  # them over the parallel engine: all three must choose the same sets,
+  # and take and cover the same totals over every lane.
   echo "registry smoke (${build_dir}): sieve_mc agrees across sources"
   sieve_report() {
     "${tool}" solve "$1" sieve_mc k=3 "${@:2}" |

@@ -16,6 +16,7 @@
 #include "util/arena.h"
 #include "util/check.h"
 #include "util/math.h"
+#include "util/set_span.h"
 #include "util/space_meter.h"
 
 namespace streamsc {
@@ -202,9 +203,9 @@ MaxCoverageRunResult SieveMaxCoverage::Run(SetStream& stream, std::size_t k,
   // Every guess is an independent lane: its take decisions depend only on
   // its own covered/chosen state and the item sequence, so the lanes can
   // be scanned in parallel without changing any of them. A lane that is
-  // full, or that needs more than the set's member count (the gain
-  // |S \ covered| is at most |S|), costs O(1); only the rest run the gain
-  // kernel.
+  // full costs O(1), and so does one whose take rule needs more than a
+  // sparse set's member count, which its span holds (the gain
+  // |S \ covered| is at most |S|); every other lane runs the gain kernel.
   const std::int64_t sieve_start =
       ctx.trace() != nullptr ? TraceRecorder::NowNs() : 0;
   ctx.IndependentScanPass(
@@ -214,7 +215,11 @@ MaxCoverageRunResult SieveMaxCoverage::Run(SetStream& stream, std::size_t k,
         const double needed =
             (cand.guess / 2.0 - static_cast<double>(cand.covered_count)) /
             static_cast<double>(k - cand.chosen.size());
-        if (static_cast<double>(item.count) < needed) return;
+        if (const SparseSpan* sparse = item.set.sparse_span();
+            sparse != nullptr &&
+            static_cast<double>(sparse->CountSet()) < needed) {
+          return;
+        }
         const Count gain = item.set.CountAndNot(cand.covered);
         if (static_cast<double>(gain) >= needed && gain > 0) {
           cand.chosen.push_back(item.id);

@@ -69,9 +69,9 @@ struct SieveMcConfig {
 };
 
 /// Single-pass threshold sieve baseline. Per item, a lane that is full,
-/// or whose take rule asks for more than the set's member count
-/// (StreamItem::count bounds the gain), costs O(1); every other lane runs
-/// one gain kernel on the set.
+/// or whose take rule asks for more than a sparse set's member count (an
+/// O(1) bound on the gain), costs O(1); every other lane runs one gain
+/// kernel on the set.
 class SieveMaxCoverage : public StreamingMaxCoverageAlgorithm {
  public:
   explicit SieveMaxCoverage(SieveMcConfig config = {});

@@ -111,7 +111,7 @@ Status DeltaLog::Load(const std::string& path) {
         slot.from_delta = true;
         slot.payload = static_cast<std::uint32_t>(payloads_.size());
         slot.version = i + 1;
-        payloads_.push_back({check.view, record.count});
+        payloads_.push_back(check.view);
         if (record.type == sscd1::kAddSet) {
           appended_.push_back(slot);
         } else {
@@ -135,13 +135,11 @@ Status DeltaLog::Load(const std::string& path) {
   return Status::Ok();
 }
 
-const DeltaLog::Payload& DeltaLog::slot_payload(std::uint64_t slot) const {
-  STREAMSC_CHECK(status_.ok() && slot < num_slots(),
-                 "DeltaLog::slot_payload: invalid log or slot");
-  const Slot& ref = SlotRef(slot);
-  STREAMSC_CHECK(ref.from_delta,
-                 "DeltaLog::slot_payload: base-backed slot");
-  return payloads_[ref.payload];
+SetView DeltaLog::slot_view(std::uint64_t slot) const {
+  STREAMSC_CHECK(status_.ok() && slot < num_slots() && slot_from_delta(slot),
+                 "DeltaLog::slot_view: invalid log, slot, or base-backed "
+                 "slot");
+  return payloads_[SlotRef(slot).payload];
 }
 
 // ---------------------------------------------------------------------------

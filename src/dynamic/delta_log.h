@@ -92,16 +92,9 @@ class DeltaLog {
   /// record) — never proportional to the base size.
   std::vector<std::uint64_t> TombstonedSlots() const;
 
-  /// One delta payload: a view borrowing the mapping (it lives as long as
-  /// this log) and its member count, which replay checked against the
-  /// payload.
-  struct Payload {
-    SetView view;
-    Count count = 0;
-  };
-
-  /// \p slot's delta payload. Precondition: slot_from_delta(slot).
-  const Payload& slot_payload(std::uint64_t slot) const;
+  /// View of \p slot's delta payload. Precondition: slot_from_delta(slot).
+  /// The view borrows the mapping and lives as long as this log.
+  SetView slot_view(std::uint64_t slot) const;
 
  private:
   struct Slot {
@@ -132,7 +125,7 @@ class DeltaLog {
   // to a shared default (live, version 0, base payload).
   std::unordered_map<std::uint64_t, Slot> touched_base_;
   std::vector<Slot> appended_;  // slots base_num_sets_ .. num_slots()-1
-  std::vector<Payload> payloads_;  // every delta payload, over the mapping
+  std::vector<SetView> payloads_;  // every delta payload, over the mapping
 };
 
 /// Incremental sscd1 writer. Not copyable. Construct in create mode (new

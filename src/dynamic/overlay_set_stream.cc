@@ -108,6 +108,13 @@ void OverlaySetStream::Compose() {
   cursor_ = 0;
 }
 
+SetView OverlaySetStream::BaseSet(std::uint64_t slot) const {
+  if (mmap_base_) return mmap_base_->set(static_cast<SetId>(slot));
+  const SetSystem* system =
+      owned_system_ ? owned_system_.get() : borrowed_system_;
+  return system->set(static_cast<SetId>(slot));
+}
+
 void OverlaySetStream::BeginPass() {
   cursor_ = 0;
   ++passes_;
@@ -116,27 +123,20 @@ void OverlaySetStream::BeginPass() {
 bool OverlaySetStream::Next(StreamItem* item) {
   STREAMSC_DCHECK(passes_ > 0 && "BeginPass() before Next()");
   if (cursor_ >= live_.size()) return false;
-  *item = Item(static_cast<SetId>(cursor_++));
+  const SetId id = static_cast<SetId>(cursor_++);
+  item->id = id;
+  item->set = set(id);
   return true;
 }
 
-SetView OverlaySetStream::set(SetId id) const { return Item(id).set; }
-
-StreamItem OverlaySetStream::Item(SetId id) const {
+SetView OverlaySetStream::set(SetId id) const {
   STREAMSC_CHECK(status_.ok() && id < live_.size(),
                  "OverlaySetStream::set: invalid stream or id");
   const std::uint64_t slot = live_[id];
   if (slot_from_delta_[static_cast<std::size_t>(slot)]) {
-    const DeltaLog::Payload& payload = delta_.slot_payload(slot);
-    return {id, payload.view, payload.count};
+    return delta_.slot_view(slot);
   }
-  const SetId base_id = static_cast<SetId>(slot);
-  if (mmap_base_) {
-    return {id, mmap_base_->set(base_id), mmap_base_->count(base_id)};
-  }
-  const SetSystem* system =
-      owned_system_ ? owned_system_.get() : borrowed_system_;
-  return {id, system->set(base_id), system->SetCount(base_id)};
+  return BaseSet(slot);
 }
 
 Status OverlaySetStream::RefreshDelta() {

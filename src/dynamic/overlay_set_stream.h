@@ -124,9 +124,8 @@ class OverlaySetStream : public SetStream {
   // Rebuilds live_/slot_live_ from delta_. Infallible: the delta already
   // passed CheckCompatible().
   void Compose();
-  // Live id \p id as a stream item: its view and count, from the delta
-  // payload or the base, in one slot lookup. Precondition as set().
-  StreamItem Item(SetId id) const;
+  // The base's view of base slot \p slot.
+  SetView BaseSet(std::uint64_t slot) const;
 
   Status status_;
   std::string delta_path_;

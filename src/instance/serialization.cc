@@ -90,7 +90,6 @@ Status Ssc1Reader::ReadSet(DynamicBitset* set) {
   }
   if (duplicate) return MalformedAt("duplicate elements in set line");
   ++sets_read_;
-  last_set_count_ = k;
   return Status::Ok();
 }
 

@@ -50,10 +50,6 @@ class Ssc1Reader {
   /// set->size() == universe_size(), fewer than num_sets() sets read.
   Status ReadSet(DynamicBitset* set);
 
-  /// Member count of the set the last successful ReadSet() parsed: its
-  /// declared k, which ReadSet() checked lists no element twice.
-  Count last_set_count() const { return last_set_count_; }
-
   /// Checks that only blank and comment lines follow the last set. Call
   /// after num_sets() successful ReadSet() calls.
   Status ReadEnd();
@@ -71,7 +67,6 @@ class Ssc1Reader {
   std::size_t universe_size_ = 0;
   std::size_t num_sets_ = 0;
   std::size_t sets_read_ = 0;
-  Count last_set_count_ = 0;
 };
 
 /// Opens \p path for ssc1 reading into \p in (closing whatever it held).

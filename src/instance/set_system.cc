@@ -11,7 +11,7 @@ bool SetSystem::WantsSparse(Count count) const {
          sparsity_threshold_ * static_cast<double>(universe_size_);
 }
 
-SetId SetSystem::PushDense(DynamicBitset set, Count count) {
+SetId SetSystem::PushDense(DynamicBitset set) {
   // Re-home payloads whose buffers live outside this system's storage —
   // including scratch-backed payloads entering a *heap* system: moving
   // one in would smuggle the scratch binding (and its pass-lifetime
@@ -22,12 +22,11 @@ SetId SetSystem::PushDense(DynamicBitset set, Count count) {
   } else {
     dense_.push_back(std::move(set));
   }
-  slots_.push_back(
-      {Rep::kDense, static_cast<std::uint32_t>(dense_.size() - 1), count});
+  slots_.push_back({Rep::kDense, static_cast<std::uint32_t>(dense_.size() - 1)});
   return static_cast<SetId>(slots_.size() - 1);
 }
 
-SetId SetSystem::PushSparse(SparseSet set, Count count) {
+SetId SetSystem::PushSparse(SparseSet set) {
   const ArenaAllocator<ElementId> want{arena_};
   if (!(set.get_allocator() == want)) {
     sparse_.emplace_back(set, want);
@@ -35,54 +34,48 @@ SetId SetSystem::PushSparse(SparseSet set, Count count) {
     sparse_.push_back(std::move(set));
   }
   slots_.push_back(
-      {Rep::kSparse, static_cast<std::uint32_t>(sparse_.size() - 1), count});
+      {Rep::kSparse, static_cast<std::uint32_t>(sparse_.size() - 1)});
   return static_cast<SetId>(slots_.size() - 1);
 }
 
 SetId SetSystem::AddSet(DynamicBitset set) {
   STREAMSC_CHECK(set.size() == universe_size_,
                  "SetSystem::AddSet: set universe size mismatches the system");
-  const Count count = set.CountSet();
-  if (WantsSparse(count)) {
+  if (WantsSparse(set.CountSet())) {
     return PushSparse(
-        SparseSet::FromBitset(set, ArenaAllocator<ElementId>(arena_)), count);
+        SparseSet::FromBitset(set, ArenaAllocator<ElementId>(arena_)));
   }
-  return PushDense(std::move(set), count);
+  return PushDense(std::move(set));
 }
 
 SetId SetSystem::AddSet(SparseSet set) {
   STREAMSC_CHECK(set.size() == universe_size_,
                  "SetSystem::AddSet: set universe size mismatches the system");
-  const Count count = set.span().CountSet();
-  if (WantsSparse(count)) return PushSparse(std::move(set), count);
+  if (WantsSparse(set.span().CountSet())) return PushSparse(std::move(set));
   return PushDense(
-      SetView(set).ToDense(ArenaAllocator<DynamicBitset::Word>(arena_)),
-      count);
+      SetView(set).ToDense(ArenaAllocator<DynamicBitset::Word>(arena_)));
 }
 
 SetId SetSystem::AddSetFromIndices(std::span<const ElementId> indices) {
   // Range validation happens inside FromIndices (one post-sort check).
   SparseSet sparse = SparseSet::FromIndices(universe_size_, indices,
                                             ArenaAllocator<ElementId>(arena_));
-  const Count count = sparse.span().CountSet();
-  if (WantsSparse(count)) return PushSparse(std::move(sparse), count);
+  if (WantsSparse(sparse.span().CountSet())) {
+    return PushSparse(std::move(sparse));
+  }
   return PushDense(
-      SetView(sparse).ToDense(ArenaAllocator<DynamicBitset::Word>(arena_)),
-      count);
+      SetView(sparse).ToDense(ArenaAllocator<DynamicBitset::Word>(arena_)));
 }
 
 SetId SetSystem::AddSetFromView(SetView view) {
   STREAMSC_CHECK(view.valid() && view.size() == universe_size_,
                  "SetSystem::AddSetFromView: view mismatches the system");
-  const Count count = view.CountSet();
-  if (WantsSparse(count)) {
+  if (WantsSparse(view.CountSet())) {
     // ToSparse materializes straight into this system's allocator (its
     // emitted ids are sorted, unique, and in-range by construction).
-    return PushSparse(view.ToSparse(ArenaAllocator<ElementId>(arena_)),
-                      count);
+    return PushSparse(view.ToSparse(ArenaAllocator<ElementId>(arena_)));
   }
-  return PushDense(view.ToDense(ArenaAllocator<DynamicBitset::Word>(arena_)),
-                   count);
+  return PushDense(view.ToDense(ArenaAllocator<DynamicBitset::Word>(arena_)));
 }
 
 SetView SetSystem::set(SetId id) const {
@@ -90,11 +83,6 @@ SetView SetSystem::set(SetId id) const {
   const Slot& slot = slots_[id];
   if (slot.rep == Rep::kDense) return dense_[slot.index];
   return sparse_[slot.index];
-}
-
-Count SetSystem::SetCount(SetId id) const {
-  STREAMSC_DCHECK(id < slots_.size());
-  return slots_[id].count;
 }
 
 bool SetSystem::IsSparse(SetId id) const {

@@ -95,10 +95,6 @@ class SetSystem {
   /// True iff the \p id-th set is stored sparsely.
   bool IsSparse(SetId id) const;
 
-  /// Member count of the \p id-th set, stored at insertion: O(1) for
-  /// either representation.
-  Count SetCount(SetId id) const;
-
   /// Stored bytes of the \p id-th set (its representation's ByteSize).
   Bytes SetBytes(SetId id) const { return set(id).ByteSize(); }
 
@@ -162,14 +158,13 @@ class SetSystem {
   struct Slot {
     Rep rep;
     std::uint32_t index;  // into dense_ or sparse_
-    Count count;          // members, computed for WantsSparse at insertion
   };
 
   // True iff a set with \p count members should be stored sparsely.
   bool WantsSparse(Count count) const;
 
-  SetId PushDense(DynamicBitset set, Count count);
-  SetId PushSparse(SparseSet set, Count count);
+  SetId PushDense(DynamicBitset set);
+  SetId PushSparse(SparseSet set);
 
   std::size_t universe_size_;
   double sparsity_threshold_;

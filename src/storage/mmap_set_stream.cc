@@ -1,7 +1,6 @@
 #include "storage/mmap_set_stream.h"
 
 #include <bit>
-#include <cstddef>
 #include <cstring>
 
 #include "util/check.h"
@@ -18,7 +17,6 @@ MmapSetStream::MmapSetStream(const std::string& path) {
     // status check streams nothing instead of reading junk.
     universe_size_ = 0;
     sets_.clear();
-    index_ = nullptr;
     sparse_sets_ = 0;
   }
 }
@@ -63,7 +61,6 @@ Status MmapSetStream::Load(const std::string& path) {
     sets_.push_back(check.view);
     if (entry.rep == sscb1::kSparse) ++sparse_sets_;
   }
-  index_ = file_.data() + header.index_offset;
   return Status::Ok();
 }
 
@@ -78,7 +75,6 @@ bool MmapSetStream::Next(StreamItem* item) {
   const SetId id = static_cast<SetId>(cursor_++);
   item->id = id;
   item->set = set(id);
-  item->count = count(id);
   return true;
 }
 
@@ -86,17 +82,6 @@ SetView MmapSetStream::set(SetId id) const {
   STREAMSC_CHECK(status_.ok() && id < sets_.size(),
                  "MmapSetStream::set: invalid stream or id");
   return sets_[id];
-}
-
-Count MmapSetStream::count(SetId id) const {
-  STREAMSC_CHECK(status_.ok() && id < sets_.size(),
-                 "MmapSetStream::count: invalid stream or id");
-  std::uint32_t count = 0;
-  std::memcpy(&count,
-              index_ + id * sizeof(SetIndexEntry) +
-                  offsetof(SetIndexEntry, count),
-              sizeof(count));
-  return count;
 }
 
 }  // namespace streamsc

@@ -68,10 +68,6 @@ class MmapSetStream : public SetStream {
   /// status().ok() and id < num_sets().
   SetView set(SetId id) const;
 
-  /// Member count of the \p id-th set, read from its mapped index entry
-  /// (checked against the payload at open). Precondition as set().
-  Count count(SetId id) const;
-
   /// Number of sets stored sparsely (for tooling/info output).
   std::size_t sparse_sets() const { return sparse_sets_; }
 
@@ -86,7 +82,6 @@ class MmapSetStream : public SetStream {
   MmapFile file_;
   std::size_t universe_size_ = 0;
   std::vector<SetView> sets_;  // one span view per set, over the mapping
-  const std::byte* index_ = nullptr;  // the mapped SetIndexEntry table
   std::size_t sparse_sets_ = 0;
   std::size_t cursor_ = 0;
   std::uint64_t passes_ = 0;
@@ -124,7 +119,6 @@ class MmapStreamView : public SetStream {
     const SetId id = static_cast<SetId>(cursor_++);
     item->id = id;
     item->set = stream_.set(id);
-    item->count = stream_.count(id);
     return true;
   }
   std::uint64_t passes() const override { return passes_; }

@@ -40,7 +40,6 @@ bool VectorSetStream::Next(StreamItem* item) {
   const SetId id = order_[cursor_++];
   item->id = id;
   item->set = system_.set(id);
-  item->count = system_.SetCount(id);
   return true;
 }
 

@@ -18,19 +18,12 @@
 
 namespace streamsc {
 
-/// One stream arrival: the set's id in the underlying system, a borrowed
-/// view of its contents, and its member count. How long the view stays
-/// valid depends on the stream (see SetStream::ItemsRemainValid()).
-///
-/// Contract for every SetStream: each item Next() produces has
-/// count == set.CountSet(), on every pass and in every order. A stream
-/// fills it from what it already holds (an index entry, a stored slot,
-/// the parsed line), never by a popcount per item: consumers read it as
-/// an O(1) bound on any gain the set can give (|S \ C| <= |S|).
+/// One stream arrival: the set's id in the underlying system plus a
+/// borrowed view of its contents. How long the view stays valid depends
+/// on the stream (see SetStream::ItemsRemainValid()).
 struct StreamItem {
   SetId id = kInvalidSetId;
   SetView set;
-  Count count = 0;
 };
 
 /// Abstract multi-pass stream of sets.

@@ -55,7 +55,6 @@ bool FileSetStream::Next(StreamItem* item) {
                  "FileSetStream: file truncated or modified between passes");
   item->id = next_id_++;
   item->set = SetView(current_);
-  item->count = reader_.last_set_count();
   return true;
 }
 

@@ -234,8 +234,11 @@ SetSystem ShuffledPlanted(std::size_t n, std::size_t m, std::size_t opt,
 
 TEST(SieveMcTest, LaneScanMatchesFullRecountReference) {
   testing::ScopedTempDir dir;
-  ParallelPassEngine engine(4);
-  ParallelPassEngine* const pools[] = {nullptr, &engine};
+  ParallelPassEngine engine2(2);
+  ParallelPassEngine engine4(4);
+  ParallelPassEngine engine8(8);
+  ParallelPassEngine* const pools[] = {nullptr, &engine2, &engine4,
+                                       &engine8};
   struct Shape {
     const char* name;
     SetSystem system;
@@ -278,7 +281,9 @@ TEST(SieveMcTest, LaneScanMatchesFullRecountReference) {
             SCOPED_TRACE(std::string(shape.name) + " " + stream_names[s] +
                          " k=" + std::to_string(k) +
                          " epsilon=" + std::to_string(epsilon) +
-                         (pool == nullptr ? " threads=1" : " threads=4"));
+                         " threads=" +
+                         std::to_string(pool == nullptr ? 1
+                                                        : pool->num_threads()));
             RunContext context;
             context.engine = pool;
             const MaxCoverageRunResult result =

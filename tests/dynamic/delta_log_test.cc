@@ -104,10 +104,8 @@ TEST(DeltaLogTest, RoundTripsSlotsVersionsAndViews) {
   EXPECT_TRUE(log.slot_from_delta(10));
   EXPECT_TRUE(log.slot_from_delta(0));
   EXPECT_FALSE(log.slot_from_delta(1));
-  EXPECT_EQ(log.slot_payload(10).view.CountSet(), 3u);
-  EXPECT_EQ(log.slot_payload(10).count, 3u);
-  EXPECT_EQ(log.slot_payload(0).view.CountSet(), 60u);
-  EXPECT_EQ(log.slot_payload(0).count, 60u);
+  EXPECT_EQ(log.slot_view(10).CountSet(), 3u);
+  EXPECT_EQ(log.slot_view(0).CountSet(), 60u);
 }
 
 TEST(DeltaLogTest, AppendModeExtendsAnExistingLog) {

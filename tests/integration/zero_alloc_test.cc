@@ -213,7 +213,7 @@ TEST(ZeroAllocTest, SieveMaxCoverage) {
 }
 
 // Every set stored sparse (blocks of 64 over [4096]): most lanes skip
-// the gain kernel on the item's stored count.
+// the gain kernel on the sparse span's member count.
 TEST(ZeroAllocTest, SieveMaxCoverageSparse) {
   Rng rng(21);
   const SetSystem system = PlantedCoverInstance(4096, 96, 64, rng);
